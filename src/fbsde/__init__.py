@@ -3,25 +3,23 @@ stochastic differential equations, with a regression-later scheme, the
 classical regression-now implicit scheme, and closed-form oracles for
 error measurement."""
 
-from .basis import BASIS_FAMILIES, MAX_DEGREE, BasisSet, make_basis
-from .cli import ReportRow, RunConfig, compare_schemes, run
+from .basis import BASIS_FAMILIES, MAX_DEGREE, BasisSet
+from .cli import ReportRow, RunConfig, run
 from .model import (CATALOG_DEFAULTS, FbsdeProblem, ProblemCatalogEntry,
                     TimeGrid, make_problem, make_uniform_grid)
 from .oracle import (NestedEstimate, ReferenceValue, arctan_solution,
                      black_scholes, nested_mc_y0, reference_for)
-from .regress import Coefficients, DesignMatrix, project
-from .simulate import PathEnsemble, euler_states, increments_for, simulate_paths
-from .solver import (NowStepDiagnostics, NumericalError, SolverResult,
-                     solve_regress_later, solve_regress_now)
+from .regress import project
+from .simulate import PathEnsemble, euler_states, simulate_paths
+from .solver import (NumericalError, SolverResult, solve_regress_later,
+                     solve_regress_now)
 
 __all__ = [
     "BASIS_FAMILIES",
     "MAX_DEGREE",
     "BasisSet",
-    "make_basis",
     "ReportRow",
     "RunConfig",
-    "compare_schemes",
     "run",
     "CATALOG_DEFAULTS",
     "FbsdeProblem",
@@ -35,14 +33,10 @@ __all__ = [
     "black_scholes",
     "nested_mc_y0",
     "reference_for",
-    "Coefficients",
-    "DesignMatrix",
     "project",
     "PathEnsemble",
     "euler_states",
-    "increments_for",
     "simulate_paths",
-    "NowStepDiagnostics",
     "NumericalError",
     "SolverResult",
     "solve_regress_later",

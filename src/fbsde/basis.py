@@ -30,7 +30,6 @@ from .model import FbsdeProblem, TimeGrid
 
 __all__ = [
     "BasisSet",
-    "make_basis",
     "BASIS_FAMILIES",
     "MAX_DEGREE",
     "gaussian_moments",
@@ -255,8 +254,3 @@ class BasisSet:
             dmu[d] = d * dm * mu[d - 1] + d * (d - 1) * s_ds * mu[d - 2]
         out = np.tensordot(self._table, dmu, axes=(1, 0)).T
         return out[0] if scalar else out
-
-
-def make_basis(family: str, k: int, problem: FbsdeProblem, grid: TimeGrid) -> BasisSet:
-    """Construct the basis family for one (problem, grid) pair."""
-    return BasisSet(family, k, problem, grid)

@@ -15,7 +15,8 @@ is left empty unless --timings is given, keeping default output
 byte-reproducible; reference columns are empty for problems without a
 closed form.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (including non-finite or
+out-of-range values, rejected before any simulation), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BASIS_FAMILIES, make_basis
-from .model import (CATALOG_DEFAULTS, PROBLEM_NAMES, ProblemCatalogEntry,
-                    make_problem, make_uniform_grid)
+from .basis import BASIS_FAMILIES, MAX_DEGREE, BasisSet
+from .model import (CATALOG_DEFAULTS, ProblemCatalogEntry, make_problem,
+                    make_uniform_grid)
 from .oracle import reference_for
-from .simulate import simulate_paths
+from .simulate import _validate_seed, simulate_paths
 from .solver import NumericalError, solve_regress_later, solve_regress_now
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "parse_config_text",
     "build_config",
     "run",
-    "compare_schemes",
     "write_csv",
     "main",
 ]
@@ -55,14 +55,6 @@ class ConfigError(ValueError):
 
 
 SCHEMES = ("later", "now", "both")
-
-_PARAM_KEYS = {
-    "call": ("S0", "K", "r", "mu", "sigma", "T"),
-    "put": ("S0", "K", "r", "mu", "sigma", "T"),
-    "arctan": ("T",),
-    "custom": ("b0", "s0", "x0", "T"),
-}
-_ALL_PARAM_KEYS = tuple(dict.fromkeys(k for keys in _PARAM_KEYS.values() for k in keys))
 
 _INT_LIST_KEYS = ("paths", "steps", "k", "seed")
 
@@ -136,18 +128,26 @@ def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
         values = tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected integer(s), got {value!r}") from None
-    if any(v < 1 for v in values) and key != "seed":
+    if key == "seed":
+        try:
+            values = tuple(_validate_seed(v) for v in values)
+        except ValueError as exc:
+            raise ConfigError(f"key 'seed': {exc}") from None
+    elif any(v < 1 for v in values):
         raise ConfigError(f"key {key!r}: values must be positive, got {value!r}")
-    if key == "seed" and any(v < 0 for v in values):
-        raise ConfigError(f"key {key!r}: seeds must be nonnegative, got {value!r}")
+    if key == "k" and any(v - 1 > MAX_DEGREE for v in values):
+        raise ConfigError(f"key 'k': degree k-1 exceeds {MAX_DEGREE}, got {value!r}")
     return values
 
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
+    return number
 
 
 def build_config(mapping: dict[str, str]) -> RunConfig:
@@ -155,12 +155,15 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
 
     Keys are validated in the order they appear, so the error names the
     first invalid one.  Problem parameters omitted from the mapping take
-    the shipped defaults of the named problem.
+    the shipped defaults of the named problem.  The problem, its closed
+    form and its time grids are also built here, so that values out of
+    their range fail before any simulation.
     """
     name = mapping.get("problem", "arctan")
-    if name not in PROBLEM_NAMES:
+    if name not in CATALOG_DEFAULTS:
         raise ConfigError(f"key 'problem': unknown problem {name!r}")
 
+    params = dict(CATALOG_DEFAULTS[name])
     values: dict[str, object] = {}
     for key, raw in mapping.items():
         if key == "problem":
@@ -176,49 +179,34 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
             values[key] = raw
         elif key in _INT_LIST_KEYS:
             values[key] = _parse_int_list(key, raw)
-        elif key == "ridge":
-            ridge = _parse_float(key, raw)
-            if ridge < 0.0:
-                raise ConfigError(f"key 'ridge': must be nonnegative, got {ridge}")
-            values[key] = ridge
+        elif key in ("ridge", "picard_tol"):
+            number = _parse_float(key, raw)
+            if number < 0.0:
+                raise ConfigError(f"key {key!r}: must be nonnegative, got {number}")
+            values[key] = number
         elif key == "picard_iters":
-            iters = int(_parse_float(key, raw))
-            if iters < 1:
-                raise ConfigError(f"key 'picard_iters': must be at least 1, got {iters}")
-            values[key] = iters
-        elif key == "picard_tol":
-            values[key] = _parse_float(key, raw)
+            iters = _parse_float(key, raw)
+            if not (iters.is_integer() and iters >= 1):
+                raise ConfigError(f"key 'picard_iters': must be an integer >= 1, got {raw!r}")
+            values[key] = int(iters)
         elif key == "out":
-            values[key] = raw
-        elif key in _ALL_PARAM_KEYS:
-            if key not in _PARAM_KEYS[name]:
-                raise ConfigError(f"key {key!r}: not a parameter of problem {name!r}")
-            values[key] = _parse_float(key, raw)
+            values["output_path"] = raw
+        elif key in params:
+            params[key] = _parse_float(key, raw)
+        elif any(key in defaults for defaults in CATALOG_DEFAULTS.values()):
+            raise ConfigError(f"key {key!r}: not a parameter of problem {name!r}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    params = dict(CATALOG_DEFAULTS[name])
-    params.update({k: values[k] for k in _PARAM_KEYS[name] if k in values})
-    entry = ProblemCatalogEntry(name, params)
+    config = RunConfig(problem=ProblemCatalogEntry(name, params), **values)
     try:
-        make_problem(entry)  # surface parameter errors as config errors
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    defaults = RunConfig(problem=entry)
-    return RunConfig(
-        problem=entry,
-        scheme=values.get("scheme", defaults.scheme),
-        paths=values.get("paths", defaults.paths),
-        steps=values.get("steps", defaults.steps),
-        k=values.get("k", defaults.k),
-        family=values.get("family", defaults.family),
-        seed=values.get("seed", defaults.seed),
-        ridge=values.get("ridge", defaults.ridge),
-        output_path=values.get("out", defaults.output_path),
-        picard_iters=values.get("picard_iters", defaults.picard_iters),
-        picard_tol=values.get("picard_tol", defaults.picard_tol),
-    )
+        problem = make_problem(config.problem)
+        reference_for(config.problem)
+        for n_steps in config.steps:
+            make_uniform_grid(problem.horizon, n_steps)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"problem {name!r}: {exc}") from None
+    return config
 
 
 def _log10_err(err: float, ref: float) -> tuple[float, str]:
@@ -239,7 +227,7 @@ def run(config: RunConfig) -> list[ReportRow]:
     sweep = itertools.product(config.paths, config.steps, config.k, config.seed)
     for m_paths, n_steps, k, seed in sweep:
         grid = make_uniform_grid(problem.horizon, n_steps)
-        basis = make_basis(config.family, k, problem, grid)
+        basis = BasisSet(config.family, k, problem, grid)
         ensemble = simulate_paths(problem, grid, m_paths, seed)
         for scheme in schemes:
             if scheme == "later":
@@ -274,14 +262,6 @@ def _make_row(config, scheme, m_paths, n_steps, k, seed, result, reference) -> R
         family=config.family, seed=seed, y0_hat=result.y0, z0_hat=result.z0,
         max_condition=result.max_condition, runtime_ms=result.runtime_ms, **err,
     )
-
-
-def compare_schemes(config: RunConfig) -> list[ReportRow]:
-    """Paired-scheme run: enforces scheme=both so each sweep point yields a
-    (later, now) row pair computed on one shared ensemble."""
-    if config.scheme != "both":
-        config = replace(config, scheme="both")
-    return run(config)
 
 
 def _format_value(name: str, value) -> str:

@@ -22,7 +22,6 @@ __all__ = [
     "make_uniform_grid",
     "make_problem",
     "CATALOG_DEFAULTS",
-    "PROBLEM_NAMES",
 ]
 
 # Driver of the arctan problem clamps its z argument away from the tan poles.
@@ -151,8 +150,6 @@ class ProblemCatalogEntry:
         return cls(name, params)
 
 
-PROBLEM_NAMES = ("call", "put", "arctan", "custom")
-
 # Default parameters of the shipped experiment configurations.
 CATALOG_DEFAULTS: dict[str, dict[str, float]] = {
     "call": {"S0": 100.0, "K": 100.0, "r": 0.01, "mu": 0.01, "sigma": 0.02, "T": 1.0},
@@ -178,7 +175,7 @@ def make_problem(entry: ProblemCatalogEntry) -> FbsdeProblem:
     terminal phi(x) = x.
     """
     name = entry.name
-    if name not in PROBLEM_NAMES:
+    if name not in CATALOG_DEFAULTS:
         raise ValueError(f"unknown problem {name!r}")
     if name in ("call", "put"):
         p = _require(entry, "S0", "K", "r", "mu", "sigma")
@@ -188,8 +185,8 @@ def make_problem(entry: ProblemCatalogEntry) -> FbsdeProblem:
     if name == "arctan":
         T = float(entry.parameters.get("T", 1.0))
         return _arctan_problem(T)
-    p = {k: float(entry.parameters.get(k, CATALOG_DEFAULTS["custom"][k]))
-         for k in ("b0", "s0", "x0", "T")}
+    p = {k: float(entry.parameters.get(k, default))
+         for k, default in CATALOG_DEFAULTS["custom"].items()}
     if not p["s0"] > 0.0:
         raise ValueError("custom problem requires s0 > 0")
     if not p["T"] > 0.0:

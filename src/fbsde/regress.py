@@ -10,52 +10,22 @@ as an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import BasisSet
-from .simulate import PathEnsemble
-
-__all__ = ["DesignMatrix", "Coefficients", "project"]
-
-
-@dataclass(frozen=True, eq=False)
-class DesignMatrix:
-    """M x k matrix of basis evaluations for one backward step.
-
-    Row m holds the step-i basis evaluated at the path-m state at t_{i+1},
-    which is where both projection targets of the backward sweep live.
-    """
-
-    entries: np.ndarray
-    step: int
-
-    @classmethod
-    def at_next_state(cls, basis: BasisSet, ensemble: PathEnsemble, step: int) -> "DesignMatrix":
-        rows = basis.eval(step, ensemble.states[:, step + 1])
-        return cls(entries=rows, step=step)
-
-
-@dataclass(frozen=True, eq=False)
-class Coefficients:
-    """Fitted coefficient pair of one backward step: alpha carries the
-    value regression, beta the driver regression."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    condition_estimate: float
-    step: int
+__all__ = ["project"]
 
 
 def project(design, target, ridge: float = 0.0) -> tuple[np.ndarray, float]:
     """Minimal-norm least-squares fit of target on the design columns.
 
+    ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
+    regression states, and ``target`` has length M.
+
     Returns (coefficients, condition_estimate) where the condition estimate
     is s_max/s_min of the solved matrix (inf for an exactly singular
     design).  ``ridge`` adds Tikhonov rows sqrt(ridge)*I, default off.
     """
-    a = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, dtype=np.float64)
+    a = np.asarray(design, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("design must be a 2-d matrix")

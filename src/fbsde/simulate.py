@@ -36,7 +36,6 @@ __all__ = [
     "PathEnsemble",
     "simulate_paths",
     "euler_states",
-    "increments_for",
     "WORKERS_ENV",
 ]
 
@@ -173,11 +172,3 @@ def simulate_paths(
     states_mi.setflags(write=False)
     increments_mi.setflags(write=False)
     return PathEnsemble(states=states_mi, increments=increments_mi, grid=grid, seed=seed)
-
-
-def increments_for(ensemble: PathEnsemble, i: int) -> np.ndarray:
-    """Read-only view of the Brownian increments over [t_i, t_{i+1}]."""
-    n = ensemble.grid.n_steps
-    if not 0 <= i < n:
-        raise IndexError(f"step index {i} out of range [0, {n})")
-    return ensemble.increments[:, i]

@@ -13,23 +13,25 @@ increment-weighted regression.  Regression-now approximates both
 E[Y_{t_{i+1}} | F_{t_i}] and the increment-weighted expectation defining Z
 by regressions on the time-t_i design and resolves the implicit Y equation
 with a short Picard iteration.
+
+Both schemes run the same sweep over one ensemble and differ only in the
+step rule that maps the values at t_{i+1} to those at t_i.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
-from .regress import Coefficients, DesignMatrix, project
+from .regress import project
 from .simulate import PathEnsemble
 
 __all__ = [
     "SolverResult",
-    "NowStepDiagnostics",
     "NumericalError",
     "solve_regress_later",
     "solve_regress_now",
@@ -40,36 +42,40 @@ class NumericalError(RuntimeError):
     """A sweep produced non-finite values."""
 
 
-@dataclass(frozen=True, eq=False)
-class NowStepDiagnostics:
-    """Fit diagnostics of one regression-now step."""
-
-    step: int
-    cond_value: float
-    cond_zweight: float
-    picard_iterations: int
-    picard_gap: float
-
-
 @dataclass(eq=False)
 class SolverResult:
-    """Initial-time estimates plus per-step records of one backward sweep."""
+    """Initial-time estimates plus the per-step record of one backward sweep.
+
+    ``diagnostics`` maps each field to a list of N values, entry i for step
+    i: ``condition`` and ``max_abs_y`` for both schemes, ``alpha`` and
+    ``beta`` for the later scheme, ``picard_iterations`` and
+    ``picard_gap`` for the now scheme.
+    """
 
     y0: float
     z0: float
-    per_step: list
     scheme: str
     runtime_ms: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def max_condition(self) -> float:
-        conds = self.diagnostics.get("condition", [])
-        return max(conds) if conds else float("nan")
+        return max(self.diagnostics["condition"])
 
 
-def _check_inputs(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
-                  paths: PathEnsemble) -> None:
+def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"non-finite {what} at step {step}")
+
+
+def _sweep(scheme, problem, grid, basis, paths, step, initial) -> SolverResult:
+    """Shared backward sweep.
+
+    ``step(i, y)`` maps the pathwise values at t_{i+1} to those at t_i and
+    returns them with the step's diagnostic fields; ``initial(y, diagnostics)``
+    reads (y0, z0) off the step-0 outcome.
+    """
+    started = time.perf_counter()
     if paths.grid != grid:
         raise ValueError("path ensemble was generated on a different grid")
     if basis.grid != grid:
@@ -79,10 +85,23 @@ def _check_inputs(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
     if not np.all(paths.states[:, 0] == problem.initial_state):
         raise ValueError("path ensemble does not start at the problem's initial state")
 
+    N = grid.n_steps
+    y = np.asarray(problem.terminal(paths.states[:, N]), dtype=np.float64)
+    _require_finite(y, N - 1, "terminal values")
+    diagnostics: dict = {}
+    for i in range(N - 1, -1, -1):
+        y, record = step(i, y)
+        _require_finite(y, i, "fitted values")
+        record["max_abs_y"] = float(np.max(np.abs(y)))
+        for name, value in record.items():
+            diagnostics.setdefault(name, [None] * N)[i] = value
 
-def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite {what} at step {step}")
+    y0, z0 = initial(y, diagnostics)
+    if not (np.isfinite(y0) and np.isfinite(z0)):
+        raise NumericalError("non-finite initial values at step 0")
+    return SolverResult(y0=y0, z0=z0, scheme=scheme,
+                        runtime_ms=(time.perf_counter() - started) * 1e3,
+                        diagnostics=diagnostics)
 
 
 def solve_regress_later(
@@ -102,20 +121,12 @@ def solve_regress_later(
     y0 = (alpha + beta*delta_0) . cond_exp(0, x0) and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
     """
-    started = time.perf_counter()
-    _check_inputs(problem, grid, basis, paths)
-    times, deltas, N = grid.times, grid.deltas, grid.n_steps
-    states = paths.states
+    times, deltas, states = grid.times, grid.deltas, paths.states
 
-    target = np.asarray(problem.terminal(states[:, N]), dtype=np.float64)
-    _require_finite(target, N - 1, "terminal values")
-
-    per_step: list = [None] * N
-    max_abs_y = [0.0] * N
-    for i in range(N - 1, -1, -1):
+    def step(i, target):
         x_next = states[:, i + 1]
-        design = DesignMatrix.at_next_state(basis, paths, i)
-        _require_finite(design.entries, i, "basis values")
+        design = basis.eval(i, x_next)
+        _require_finite(design, i, "basis values")
         alpha, cond_a = project(design, target, ridge=ridge)
 
         z_next = (basis.grad(i, x_next) @ alpha) * problem.diffusion(times[i + 1], x_next)
@@ -125,33 +136,18 @@ def solve_regress_later(
         _require_finite(f_next, i, "driver values")
         beta, cond_b = project(design, f_next, ridge=ridge)
 
-        per_step[i] = Coefficients(
-            alpha=alpha, beta=beta, condition_estimate=max(cond_a, cond_b), step=i
-        )
         weights = alpha + deltas[i] * beta
-        target = basis.cond_exp(i, states[:, i]) @ weights
-        _require_finite(target, i, "fitted values")
-        max_abs_y[i] = float(np.max(np.abs(target)))
+        y = basis.cond_exp(i, states[:, i]) @ weights
+        return y, {"condition": max(cond_a, cond_b), "alpha": alpha, "beta": beta}
 
-    x0 = problem.initial_state
-    weights = per_step[0].alpha + deltas[0] * per_step[0].beta
-    y0 = float(basis.cond_exp(0, x0) @ weights)
-    sigma0 = float(np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0])
-    z0 = sigma0 * float(basis.cond_exp_grad(0, x0) @ weights)
-    if not (np.isfinite(y0) and np.isfinite(z0)):
-        raise NumericalError("non-finite initial values at step 0")
+    def initial(y, diagnostics):
+        x0 = problem.initial_state
+        weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
+        sigma0 = np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0]
+        y0 = float(basis.cond_exp(0, x0) @ weights)
+        return y0, float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
 
-    return SolverResult(
-        y0=y0,
-        z0=z0,
-        per_step=per_step,
-        scheme="later",
-        runtime_ms=(time.perf_counter() - started) * 1e3,
-        diagnostics={
-            "condition": [c.condition_estimate for c in per_step],
-            "max_abs_y": max_abs_y,
-        },
-    )
+    return _sweep("later", problem, grid, basis, paths, step, initial)
 
 
 def solve_regress_now(
@@ -174,72 +170,44 @@ def solve_regress_now(
     the sigma-algebra is trivial and both regressions collapse to sample
     means.
     """
-    started = time.perf_counter()
-    _check_inputs(problem, grid, basis, paths)
     if picard_iters < 1:
         raise ValueError("picard_iters must be at least 1")
-    times, deltas, N = grid.times, grid.deltas, grid.n_steps
+    times, deltas = grid.times, grid.deltas
     states, increments = paths.states, paths.increments
+    z0 = float("nan")
 
-    y = np.asarray(problem.terminal(states[:, N]), dtype=np.float64)
-    _require_finite(y, N - 1, "terminal values")
+    def step(i, y):
+        nonlocal z0
+        if i == 0:
+            # At t_0 the conditioning sigma-algebra is trivial: regressions are means.
+            x = np.asarray([problem.initial_state], dtype=np.float64)
+            e_y = np.array([float(y.mean())])
+            z0 = float((y * increments[:, 0]).mean() / deltas[0])
+            z = np.asarray([z0])
+            condition = 1.0
+        else:
+            x = states[:, i]
+            design = basis.eval(i, x)
+            _require_finite(design, i, "basis values")
+            coef_y, cond_y = project(design, y, ridge=ridge)
+            e_y = design @ coef_y
+            coef_z, cond_z = project(design, y * increments[:, i] / deltas[i], ridge=ridge)
+            z = design @ coef_z
+            condition = max(cond_y, cond_z)
 
-    per_step: list = [None] * N
-    max_abs_y = [0.0] * N
-
-    def picard(e_y, x, z, t, dt):
+        # Picard iteration on y = e_y + delta_i * f(t_i, x, y, z).
         current = e_y.copy()
-        gap = float("inf")
-        for it in range(1, picard_iters + 1):
-            proposal = e_y + dt * np.asarray(problem.driver(t, x, current, z), dtype=np.float64)
+        for iterations in range(1, picard_iters + 1):
+            proposal = e_y + deltas[i] * np.asarray(
+                problem.driver(times[i], x, current, z), dtype=np.float64)
             gap = float(np.max(np.abs(proposal - current)))
             current = proposal
             if gap < picard_tol:
                 break
-        return current, it, gap
+        return current, {"condition": condition, "picard_iterations": iterations,
+                         "picard_gap": gap}
 
-    for i in range(N - 1, 0, -1):
-        x_i = states[:, i]
-        design = DesignMatrix(entries=basis.eval(i, x_i), step=i)
-        _require_finite(design.entries, i, "basis values")
-        coef_y, cond_y = project(design, y, ridge=ridge)
-        e_y = design.entries @ coef_y
-        coef_z, cond_z = project(design, y * increments[:, i] / deltas[i], ridge=ridge)
-        z = design.entries @ coef_z
-        y, iters, gap = picard(e_y, x_i, z, times[i], deltas[i])
-        _require_finite(y, i, "fitted values")
-        max_abs_y[i] = float(np.max(np.abs(y)))
-        per_step[i] = NowStepDiagnostics(
-            step=i, cond_value=cond_y, cond_zweight=cond_z,
-            picard_iterations=iters, picard_gap=gap,
-        )
+    def initial(y, diagnostics):
+        return float(y[0]), z0
 
-    # At t_0 the conditioning sigma-algebra is trivial: regressions are means.
-    x0 = problem.initial_state
-    e_y0 = np.array([float(y.mean())])
-    z0 = float((y * increments[:, 0]).mean() / deltas[0])
-    y0_arr, iters, gap = picard(
-        e_y0, np.asarray([x0], dtype=np.float64), np.asarray([z0]), times[0], deltas[0]
-    )
-    y0 = float(y0_arr[0])
-    max_abs_y[0] = abs(y0)
-    per_step[0] = NowStepDiagnostics(
-        step=0, cond_value=1.0, cond_zweight=1.0,
-        picard_iterations=iters, picard_gap=gap,
-    )
-    if not (np.isfinite(y0) and np.isfinite(z0)):
-        raise NumericalError("non-finite initial values at step 0")
-
-    return SolverResult(
-        y0=y0,
-        z0=z0,
-        per_step=per_step,
-        scheme="now",
-        runtime_ms=(time.perf_counter() - started) * 1e3,
-        diagnostics={
-            "condition": [max(d.cond_value, d.cond_zweight) for d in per_step],
-            "max_abs_y": max_abs_y,
-            "picard_iterations": [d.picard_iterations for d in per_step],
-            "picard_gap": [d.picard_gap for d in per_step],
-        },
-    )
+    return _sweep("now", problem, grid, basis, paths, step, initial)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fbsde.basis import gaussian_poly_expectation, make_basis
+from fbsde.basis import BasisSet, gaussian_poly_expectation
 from fbsde.cli import main
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.oracle import black_scholes, nested_mc_y0
@@ -36,7 +36,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 def solve_catalog(name, family, M, N, seed, scheme="later"):
     problem = make_problem(ProblemCatalogEntry.with_defaults(name))
     grid = make_uniform_grid(problem.horizon, N)
-    basis = make_basis(family, 6, problem, grid)
+    basis = BasisSet(family, 6, problem, grid)
     ensemble = simulate_paths(problem, grid, M, seed)
     solve = solve_regress_later if scheme == "later" else solve_regress_now
     return solve(problem, grid, basis, ensemble)
@@ -113,7 +113,7 @@ def test_criterion_6_exactness_suite():
     # zero-driver linear problem: (y0, z0) = (0, 1) by regress-later
     problem = make_problem(ProblemCatalogEntry.with_defaults("custom"))
     grid = make_uniform_grid(1.0, 10)
-    basis = make_basis("hermite", 4, problem, grid)
+    basis = BasisSet("hermite", 4, problem, grid)
     ens = simulate_paths(problem, grid, 2000, seed=17)
     res = solve_regress_later(problem, grid, basis, ens)
     checks.append(abs(res.y0) <= 1e-9 and abs(res.z0 - 1.0) <= 1e-9)
@@ -156,7 +156,7 @@ def test_criterion_6_exactness_suite():
     pricing = make_problem(ProblemCatalogEntry.with_defaults("call"))
     grad_ok = True
     for family in ("laguerre", "hermite", "monomial"):
-        b = make_basis(family, 6, pricing, grid)
+        b = BasisSet(family, 6, pricing, grid)
         x, h = 103.0, 1e-3
         fd = (b.eval(4, x + h) - b.eval(4, x - h)) / (2 * h)
         grad_ok &= bool(np.all(np.abs(b.grad(4, x) - fd)
@@ -181,7 +181,7 @@ def test_criterion_7_nested_mc_cross_check():
     problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
     grid = make_uniform_grid(1.0, 2)
     nested = nested_mc_y0(problem, grid, outer=2000, inner=2000, seed=424242)
-    basis = make_basis("laguerre", 6, problem, grid)
+    basis = BasisSet("laguerre", 6, problem, grid)
     values = []
     for seed in SEEDS[:5]:
         ens = simulate_paths(problem, grid, 100_000, seed)
@@ -216,7 +216,7 @@ def test_criterion_8_cli_determinism(tmp_path, monkeypatch):
 def test_criterion_9_scheme_z_comparison():
     problem = make_problem(ProblemCatalogEntry.with_defaults("custom"))
     grid = make_uniform_grid(1.0, 10)
-    basis = make_basis("hermite", 6, problem, grid)
+    basis = BasisSet("hermite", 6, problem, grid)
     wins = 0
     for seed in SEEDS:
         ens = simulate_paths(problem, grid, 10_000, seed)

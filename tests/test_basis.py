@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fbsde.basis import (MAX_DEGREE, gaussian_moments, gaussian_poly_expectation,
-                         make_basis)
+from fbsde.basis import (MAX_DEGREE, BasisSet, gaussian_moments,
+                         gaussian_poly_expectation)
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 
 GRID = make_uniform_grid(1.0, 10)
@@ -20,30 +20,30 @@ def gbm_problem():
 
 
 def test_monomial_values():
-    basis = make_basis("monomial", 3, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     np.testing.assert_allclose(basis.eval(0, 2.0), [1.0, 2.0, 4.0], rtol=0, atol=0)
 
 
 def test_hermite_values_at_zero():
     # probabilists' Hermite: He0=1, He1=x, He2=x^2-1
-    basis = make_basis("hermite", 3, brownian_problem(), GRID)
+    basis = BasisSet("hermite", 3, brownian_problem(), GRID)
     np.testing.assert_allclose(basis.eval(0, 0.0), [1.0, 0.0, -1.0], rtol=0, atol=0)
 
 
 def test_laguerre_values_at_zero():
-    basis = make_basis("laguerre", 3, brownian_problem(), GRID)
+    basis = BasisSet("laguerre", 3, brownian_problem(), GRID)
     np.testing.assert_allclose(basis.eval(0, 0.0), [1.0, 1.0, 1.0], rtol=0, atol=0)
 
 
 def test_first_component_is_constant():
     for family in ("laguerre", "hermite", "monomial"):
-        basis = make_basis(family, 5, gbm_problem(), GRID)
+        basis = BasisSet(family, 5, gbm_problem(), GRID)
         x = np.linspace(60.0, 140.0, 7)
         np.testing.assert_array_equal(basis.eval(4, x)[:, 0], 1.0)
 
 
 def test_vectorized_eval_matches_scalar():
-    basis = make_basis("laguerre", 4, gbm_problem(), GRID)
+    basis = BasisSet("laguerre", 4, gbm_problem(), GRID)
     x = np.array([80.0, 100.0, 120.0])
     rows = basis.eval(3, x)
     for i, xi in enumerate(x):
@@ -52,15 +52,15 @@ def test_vectorized_eval_matches_scalar():
 
 def test_oversized_basis_rejected():
     with pytest.raises(ValueError):
-        make_basis("monomial", MAX_DEGREE + 2, brownian_problem(), GRID)
+        BasisSet("monomial", MAX_DEGREE + 2, brownian_problem(), GRID)
     with pytest.raises(ValueError):
-        make_basis("splines", 4, brownian_problem(), GRID)
+        BasisSet("splines", 4, brownian_problem(), GRID)
     with pytest.raises(ValueError):
-        make_basis("hermite", 0, brownian_problem(), GRID)
+        BasisSet("hermite", 0, brownian_problem(), GRID)
 
 
 def test_step_index_bounds():
-    basis = make_basis("hermite", 3, brownian_problem(), GRID)
+    basis = BasisSet("hermite", 3, brownian_problem(), GRID)
     with pytest.raises(IndexError):
         basis.eval(GRID.n_steps, 0.0)
     with pytest.raises(IndexError):
@@ -71,19 +71,19 @@ def test_step_index_bounds():
 
 
 def test_monomial_gradient():
-    basis = make_basis("monomial", 3, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     np.testing.assert_allclose(basis.grad(0, 2.0), [0.0, 1.0, 4.0], rtol=0, atol=0)
 
 
 def test_hermite_gradient_at_zero():
     # He_n' = n He_{n-1}
-    basis = make_basis("hermite", 3, brownian_problem(), GRID)
+    basis = BasisSet("hermite", 3, brownian_problem(), GRID)
     np.testing.assert_allclose(basis.grad(0, 0.0), [0.0, 1.0, 0.0], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
 def test_gradient_matches_central_difference(family):
-    basis = make_basis(family, 6, brownian_problem(), GRID)
+    basis = BasisSet(family, 6, brownian_problem(), GRID)
     x, h = 0.7, 1e-5
     fd = (basis.eval(2, x + h) - basis.eval(2, x - h)) / (2 * h)
     np.testing.assert_allclose(basis.grad(2, x), fd, rtol=1e-6, atol=1e-9)
@@ -92,7 +92,7 @@ def test_gradient_matches_central_difference(family):
 @pytest.mark.parametrize("family", ["laguerre", "hermite"])
 def test_gradient_matches_fd_with_state_scaling(family):
     # scaling chain-rule factor must survive on pricing problems
-    basis = make_basis(family, 6, gbm_problem(), GRID)
+    basis = BasisSet(family, 6, gbm_problem(), GRID)
     x, h = 104.0, 1e-3
     fd = (basis.eval(5, x + h) - basis.eval(5, x - h)) / (2 * h)
     np.testing.assert_allclose(basis.grad(5, x), fd, rtol=1e-6, atol=1e-12)
@@ -103,7 +103,7 @@ def test_gradient_matches_fd_with_state_scaling(family):
 
 def test_cond_exp_linear_is_drifted_state():
     # e(x) = x: E[x + dt*b + s*G] = x + dt*b
-    basis = make_basis("monomial", 2, brownian_problem(b0=0.3), GRID)
+    basis = BasisSet("monomial", 2, brownian_problem(b0=0.3), GRID)
     for i, x in [(0, 0.0), (4, -1.2), (9, 2.5)]:
         expected = x + GRID.deltas[i] * 0.3
         np.testing.assert_allclose(basis.cond_exp(i, x), [1.0, expected],
@@ -112,7 +112,7 @@ def test_cond_exp_linear_is_drifted_state():
 
 def test_cond_exp_square_brownian():
     # e(x) = x^2 with b=0, sigma=1: E[(x+sqrt(dt) G)^2] = x^2 + dt
-    basis = make_basis("monomial", 3, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     for i, x in [(0, 0.0), (3, 1.5), (8, -0.7)]:
         got = basis.cond_exp(i, x)
         assert got[2] == pytest.approx(x * x + GRID.deltas[i], rel=1e-14, abs=1e-14)
@@ -120,7 +120,7 @@ def test_cond_exp_square_brownian():
 
 def test_cond_exp_cube_brownian_with_mc_cross_check():
     # odd Gaussian moments: E[(x+sqrt(dt) G)^3] = x^3 + 3 x dt
-    basis = make_basis("monomial", 4, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 4, brownian_problem(), GRID)
     i, x = 5, 0.8
     dt = GRID.deltas[i]
     expected = x**3 + 3 * x * dt
@@ -136,7 +136,7 @@ def test_cond_exp_cube_brownian_with_mc_cross_check():
 def test_cond_exp_matches_one_step_monte_carlo(family):
     # every component, 1e5 fresh one-step Euler samples, 4 s.e.
     problem = gbm_problem()
-    basis = make_basis(family, 6, problem, GRID)
+    basis = BasisSet(family, 6, problem, GRID)
     i, x, n = 4, 96.0, 100_000
     t, dt = GRID.times[i], GRID.deltas[i]
     m = x + dt * problem.drift(t, np.array([x]))[0]
@@ -153,14 +153,14 @@ def test_cond_exp_matches_one_step_monte_carlo(family):
 
 
 def test_cond_exp_grad_linear_brownian_is_one():
-    basis = make_basis("monomial", 2, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 2, brownian_problem(), GRID)
     for i, x in [(0, 0.0), (6, 1.1)]:
         np.testing.assert_allclose(basis.cond_exp_grad(i, x), [0.0, 1.0],
                                    rtol=0, atol=1e-15)
 
 
 def test_cond_exp_grad_square_brownian_is_2x():
-    basis = make_basis("monomial", 3, brownian_problem(), GRID)
+    basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     for i, x in [(2, 0.4), (7, -1.3)]:
         got = basis.cond_exp_grad(i, x)
         assert got[2] == pytest.approx(2 * x, rel=1e-14, abs=1e-14)
@@ -171,7 +171,7 @@ def test_cond_exp_grad_matches_fd_on_gbm(family):
     # state-dependent drift and diffusion exercise the full chain rule;
     # 5-point central stencil keeps the oracle's own truncation far below
     # the 1e-6 comparison tolerance
-    basis = make_basis(family, 6, gbm_problem(), GRID)
+    basis = BasisSet(family, 6, gbm_problem(), GRID)
     i, x, h = 3, 102.0, 1e-2
     f = lambda v: basis.cond_exp(i, v)
     fd = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
@@ -186,8 +186,8 @@ def test_cond_exp_grad_fd_fallback_without_analytic_derivatives():
                             driver=base.driver, terminal=base.terminal,
                             terminal_gradient=base.terminal_gradient,
                             initial_state=base.initial_state, horizon=base.horizon)
-    basis = make_basis("laguerre", 5, stripped, GRID)
-    reference = make_basis("laguerre", 5, base, GRID)
+    basis = BasisSet("laguerre", 5, stripped, GRID)
+    reference = BasisSet("laguerre", 5, base, GRID)
     got = basis.cond_exp_grad(2, 98.0)
     np.testing.assert_allclose(got, reference.cond_exp_grad(2, 98.0), rtol=1e-7)
 
@@ -227,7 +227,7 @@ def test_tower_property_by_binning():
     from fbsde.simulate import simulate_paths
 
     problem = gbm_problem()
-    basis = make_basis("laguerre", 6, problem, GRID)
+    basis = BasisSet("laguerre", 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 100_000, seed=808)
     i = 5
     x_now = ens.states[:, i]
@@ -244,7 +244,7 @@ def test_tower_property_by_binning():
 
 
 def test_cond_exp_linearity():
-    basis = make_basis("hermite", 6, brownian_problem(), GRID)
+    basis = BasisSet("hermite", 6, brownian_problem(), GRID)
     combo = np.array([0.5, -2.0, 1.25, 0.0, 3.0, -0.75])
     i = 3
     x = np.linspace(-2.0, 2.0, 9)

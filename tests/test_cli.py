@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbsde.cli import (REPORT_COLUMNS, ConfigError, build_config,
-                       compare_schemes, main, parse_config_text, run,
-                       rows_to_csv)
-from fbsde.model import make_problem, make_uniform_grid
+import fbsde.cli as cli_module
+from fbsde.basis import MAX_DEGREE
+from fbsde.cli import (REPORT_COLUMNS, ConfigError, build_config, main,
+                       parse_config_text, run, rows_to_csv)
+from fbsde.model import CATALOG_DEFAULTS, make_problem, make_uniform_grid
 from fbsde.simulate import euler_states, simulate_paths
 
 
@@ -77,11 +83,11 @@ def test_sweep_with_both_schemes_row_count():
     assert [r.M for r in rows] == [500, 500, 1000, 1000, 2000, 2000]
 
 
-def test_compare_schemes_pairs_by_seed():
-    config = config_for(problem="call", scheme="later", paths=1000,
+def test_both_schemes_pair_by_seed():
+    config = config_for(problem="call", scheme="both", paths=1000,
                         family="laguerre",
                         seed=",".join(str(s) for s in range(1, 11)))
-    rows = compare_schemes(config)
+    rows = run(config)
     assert len(rows) == 20
     pairs = {}
     for row in rows:
@@ -91,7 +97,6 @@ def test_compare_schemes_pairs_by_seed():
 
 def test_both_schemes_share_one_ensemble(monkeypatch):
     calls = []
-    import fbsde.cli as cli_module
     real = cli_module.simulate_paths
 
     def counting(*args, **kwargs):
@@ -214,3 +219,71 @@ def test_override_precedence(tmp_path):
     fields = out.read_text().splitlines()[1].split(",")
     assert fields[REPORT_COLUMNS.index("M")] == "800"
     assert fields[REPORT_COLUMNS.index("seed")] == "9"
+
+
+# ---------------------------------------------------------- input contract
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--k", "32"], "k"),
+    (["--k", "40"], "k"),
+    (["--seed", "18446744073709551616"], "seed"),
+    (["picard_iters=inf"], "picard_iters"),
+    (["picard_iters=nan"], "picard_iters"),
+    (["--problem", "call", "T=inf"], "T"),
+    (["--problem", "custom", "x0=nan"], "x0"),
+    (["picard_tol=-1"], "picard_tol"),
+    (["ridge=nan"], "ridge"),
+    (["picard_iters=2.7"], "picard_iters"),
+    (["--problem", "call", "r=nan"], "r"),
+    (["--problem", "call", "mu=inf"], "mu"),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, args, key):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation started for an invalid config")
+
+    monkeypatch.setattr(cli_module, "simulate_paths", no_simulation)
+    out = tmp_path / "rows.csv"
+    code = main(["solve", "--paths", "200", "--steps", "2", "--out", str(out), *args])
+    assert code == 2
+    assert f"config error: key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NUMBER = st.one_of(st.floats().map(repr), st.integers(-2, 3).map(str))
+_VALUES = {
+    "scheme": st.sampled_from(["later", "now", "both", "sideways"]),
+    "family": st.sampled_from(["laguerre", "hermite", "monomial", "splines"]),
+    "paths": st.integers(-1, 500).map(str),
+    "steps": st.one_of(st.integers(-1, 4).map(str), st.just("1,3")),
+    "k": st.integers(-1, 2 * MAX_DEGREE).map(str),
+    "seed": st.integers(-1, 2**65).map(str),
+    # a huge count with picard_tol=0 would run every iteration
+    "picard_iters": st.one_of(st.integers(-1, 4).map(str),
+                              st.sampled_from(["inf", "nan", "2.7", "4.0"])),
+    "ridge": _NUMBER,
+    "picard_tol": _NUMBER,
+    "strike": _NUMBER,  # not a config key
+}
+
+
+@st.composite
+def _overrides(draw):
+    """A problem plus up to three other keys, each drawn in or out of range."""
+    problem = draw(st.sampled_from([*CATALOG_DEFAULTS, "lookback"]))
+    values = {**_VALUES, **dict.fromkeys(CATALOG_DEFAULTS.get(problem, ()), _NUMBER)}
+    keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True))
+    return {"problem": problem, **{key: draw(values[key]) for key in keys}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(overrides=_overrides())
+def test_any_overrides_end_in_a_documented_exit_code(overrides):
+    # defaults for keys not drawn; drawn sizes also stay at paths <= 500, steps <= 4
+    mapping = {"paths": "50", "steps": "2", "k": "3", **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rows.csv"
+        code = main(["solve", "--out", str(out), *(f"{k}={v}" for k, v in mapping.items())])
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)

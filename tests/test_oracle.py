@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsde.basis import make_basis
+from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.oracle import (arctan_solution, black_scholes, nested_mc_y0,
                           norm_cdf, reference_for)
@@ -153,7 +153,7 @@ def test_nested_mc_cross_checks_regress_later():
     problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
     grid = make_uniform_grid(1.0, 2)
     nested = nested_mc_y0(problem, grid, outer=2000, inner=2000, seed=42)
-    basis = make_basis("laguerre", 6, problem, grid)
+    basis = BasisSet("laguerre", 6, problem, grid)
     values = []
     for seed in (101, 102, 103, 104, 105):
         ens = simulate_paths(problem, grid, 100_000, seed)

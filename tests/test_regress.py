@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fbsde.basis import make_basis
+from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.regress import DesignMatrix, project
+from fbsde.regress import project
 from fbsde.simulate import simulate_paths
 
 
@@ -99,14 +99,12 @@ def test_ridge_shrinks_solution():
         project(design, target, ridge=-1.0)
 
 
-def test_design_matrix_rows_are_basis_at_next_state():
+def test_project_on_basis_design():
     problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
     grid = make_uniform_grid(1.0, 4)
-    basis = make_basis("laguerre", 5, problem, grid)
+    basis = BasisSet("laguerre", 5, problem, grid)
     ens = simulate_paths(problem, grid, 300, seed=21)
-    design = DesignMatrix.at_next_state(basis, ens, 2)
-    assert design.step == 2
-    assert design.entries.shape == (300, 5)
-    np.testing.assert_array_equal(design.entries, basis.eval(2, ens.states[:, 3]))
+    design = basis.eval(2, ens.states[:, 3])
+    assert design.shape == (300, 5)
     coeffs, cond = project(design, np.ones(300))
     assert np.isfinite(coeffs).all() and cond >= 1.0

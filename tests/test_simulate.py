@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbsde.model import FbsdeProblem, ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.simulate import euler_states, increments_for, simulate_paths
+from fbsde.simulate import euler_states, simulate_paths
 
 
 def constant_problem(x0=7.0):
@@ -43,15 +43,10 @@ def test_terminal_mean_matches_exact_euler_expectation():
     assert abs(terminal.mean() - expected) <= 4 * stderr
 
 
-def test_increment_column_access_and_bounds():
+def test_increment_column_is_read_only():
     grid = make_uniform_grid(1.0, 2)
     ens = simulate_paths(gbm_problem(), grid, 100, seed=1)
-    col = increments_for(ens, 0)
-    np.testing.assert_array_equal(col, ens.increments[:, 0])
-    with pytest.raises(IndexError):
-        increments_for(ens, 2)
-    with pytest.raises(IndexError):
-        increments_for(ens, -1)
+    col = ens.increments[:, 0]
     with pytest.raises(ValueError):
         col[0] = 1.0  # read-only view
 
@@ -61,7 +56,7 @@ def test_increment_column_mean_clt_bound():
     grid = make_uniform_grid(1.0, 4)
     ens = simulate_paths(gbm_problem(), grid, M, seed=77)
     for i in range(4):
-        col = increments_for(ens, i)
+        col = ens.increments[:, i]
         assert abs(col.mean()) <= 4 * np.sqrt(grid.deltas[i] / M)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsde.basis import make_basis
+from fbsde.basis import BasisSet
 from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, make_problem,
                          make_uniform_grid)
 from fbsde.oracle import black_scholes
@@ -22,11 +22,17 @@ def call_problem(**overrides):
 
 
 def solve_both(problem, grid, family, k, M, seed, **now_kwargs):
-    basis = make_basis(family, k, problem, grid)
+    basis = BasisSet(family, k, problem, grid)
     ens = simulate_paths(problem, grid, M, seed)
     later = solve_regress_later(problem, grid, basis, ens)
     now = solve_regress_now(problem, grid, basis, ens, **now_kwargs)
     return later, now
+
+
+def assert_per_step_record(result, n_steps, fields):
+    assert set(result.diagnostics) == {"condition", "max_abs_y", *fields}
+    assert all(len(v) == n_steps for v in result.diagnostics.values())
+    assert result.max_condition == max(result.diagnostics["condition"])
 
 
 # --------------------------------------------------------- later scheme
@@ -34,13 +40,13 @@ def solve_both(problem, grid, family, k, M, seed, **now_kwargs):
 
 def test_zero_driver_linear_problem_is_exact():
     problem = linear_brownian()
-    basis = make_basis("hermite", 4, problem, GRID)
+    basis = BasisSet("hermite", 4, problem, GRID)
     ens = simulate_paths(problem, GRID, 2000, seed=9)
     result = solve_regress_later(problem, GRID, basis, ens)
     # Y is the martingale E[W_T | F_t] = W_t; linear targets are in-span
     assert result.y0 == pytest.approx(0.0, abs=1e-10)
     assert result.z0 == pytest.approx(1.0, abs=1e-10)
-    assert len(result.per_step) == GRID.n_steps
+    assert all(len(v) == GRID.n_steps for v in result.diagnostics.values())
     assert result.runtime_ms >= 0.0
 
 
@@ -57,7 +63,7 @@ def test_call_price_close_to_black_scholes():
 
 def test_arctan_problem_close_to_zero():
     problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
-    basis = make_basis("hermite", 6, problem, GRID)
+    basis = BasisSet("hermite", 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 100_000, seed=101)
     result = solve_regress_later(problem, GRID, basis, ens)
     assert abs(result.y0) <= 0.02
@@ -74,7 +80,7 @@ def test_span_exactness_polynomial_terminal():
         terminal_gradient=lambda x: 3.0 + 2.0 * x,
         initial_state=0.0, horizon=1.0,
         drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
-    basis = make_basis("hermite", 4, problem, GRID)
+    basis = BasisSet("hermite", 4, problem, GRID)
     ens = simulate_paths(problem, GRID, 500, seed=33)
     result = solve_regress_later(problem, GRID, basis, ens)
     # E[2 + 3 W_T + W_T^2] = 2 + T, and the Euler chain keeps it exact
@@ -89,18 +95,19 @@ def test_terminal_alpha_independent_of_driver():
     other = call_problem(r=0.005)  # same dynamics, different driver
     grid = make_uniform_grid(1.0, 5)
     ens = simulate_paths(base, grid, 20_000, seed=55)
-    res_a = solve_regress_later(base, grid, make_basis("laguerre", 6, base, grid), ens)
+    res_a = solve_regress_later(base, grid, BasisSet("laguerre", 6, base, grid), ens)
     res_b = solve_regress_later(other, grid,
-                                make_basis("laguerre", 6, other, grid), ens)
+                                BasisSet("laguerre", 6, other, grid), ens)
     last = grid.n_steps - 1
-    np.testing.assert_array_equal(res_a.per_step[last].alpha,
-                                  res_b.per_step[last].alpha)
-    assert not np.array_equal(res_a.per_step[last].beta, res_b.per_step[last].beta)
+    np.testing.assert_array_equal(res_a.diagnostics["alpha"][last],
+                                  res_b.diagnostics["alpha"][last])
+    assert not np.array_equal(res_a.diagnostics["beta"][last],
+                              res_b.diagnostics["beta"][last])
 
 
 def test_repeated_solve_is_bit_identical():
     problem = call_problem()
-    basis = make_basis("laguerre", 6, problem, GRID)
+    basis = BasisSet("laguerre", 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 10_000, seed=3)
     r1 = solve_regress_later(problem, GRID, basis, ens)
     r2 = solve_regress_later(problem, GRID, basis, ens)
@@ -118,7 +125,7 @@ def test_error_median_nonincreasing_in_steps():
     medians = []
     for n_steps in (2, 4, 8, 16):
         grid = make_uniform_grid(1.0, n_steps)
-        basis = make_basis("laguerre", 6, problem, grid)
+        basis = BasisSet("laguerre", 6, problem, grid)
         errs = []
         for seed in range(101, 111):
             ens = simulate_paths(problem, grid, 100_000, seed)
@@ -134,14 +141,14 @@ def test_error_median_nonincreasing_in_steps():
 def test_now_scheme_zero_driver_martingale():
     problem = linear_brownian()
     M = 20_000
-    basis = make_basis("hermite", 4, problem, GRID)
+    basis = BasisSet("hermite", 4, problem, GRID)
     ens = simulate_paths(problem, GRID, M, seed=12)
     result = solve_regress_now(problem, GRID, basis, ens)
     # y0 is the sample mean of W_T-projections: 0 within 4 s.e.
     assert abs(result.y0) <= 4 * np.sqrt(1.0 / M)
     # the dW-weighted regression recovers z0 = 1 but with Monte Carlo noise
     assert abs(result.z0 - 1.0) <= 4 * np.sqrt(2.0 / (M * GRID.deltas[0]))
-    assert len(result.per_step) == GRID.n_steps
+    assert all(len(v) == GRID.n_steps for v in result.diagnostics.values())
 
 
 def test_now_scheme_constant_terminal():
@@ -153,7 +160,7 @@ def test_now_scheme_constant_terminal():
         initial_state=0.0, horizon=1.0,
         drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
     M = 20_000
-    basis = make_basis("hermite", 4, problem, GRID)
+    basis = BasisSet("hermite", 4, problem, GRID)
     ens = simulate_paths(problem, GRID, M, seed=8)
     result = solve_regress_now(problem, GRID, basis, ens)
     assert result.y0 == pytest.approx(5.0, abs=1e-12)
@@ -163,13 +170,16 @@ def test_now_scheme_constant_terminal():
 
 def test_now_scheme_picard_diagnostics():
     problem = call_problem()
-    basis = make_basis("laguerre", 6, problem, GRID)
+    basis = BasisSet("laguerre", 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 5000, seed=77)
+    later = solve_regress_later(problem, GRID, basis, ens)
     result = solve_regress_now(problem, GRID, basis, ens, picard_iters=5,
                                picard_tol=1e-10)
-    for diag in result.per_step:
-        assert diag.picard_iterations <= 5
-        assert diag.picard_gap < 1e-10  # contraction factor dt*r is tiny
+    assert_per_step_record(later, GRID.n_steps, ("alpha", "beta"))
+    assert_per_step_record(result, GRID.n_steps, ("picard_iterations", "picard_gap"))
+    assert all(n <= 5 for n in result.diagnostics["picard_iterations"])
+    # contraction factor dt*r is tiny
+    assert all(gap < 1e-10 for gap in result.diagnostics["picard_gap"])
     with pytest.raises(ValueError):
         solve_regress_now(problem, GRID, basis, ens, picard_iters=0)
 
@@ -187,7 +197,7 @@ def test_later_sweep_matches_hand_computation():
         drift_dx=lambda t, x: np.zeros_like(x),
         diffusion_dx=lambda t, x: np.zeros_like(x))
     grid = make_uniform_grid(1.0, 2)
-    basis = make_basis("monomial", 3, problem, grid)  # identity scaling at x0=0
+    basis = BasisSet("monomial", 3, problem, grid)  # identity scaling at x0=0
     ens = simulate_paths(problem, grid, 50, seed=99)
     result = solve_regress_later(problem, grid, basis, ens)
 
@@ -230,8 +240,8 @@ def test_later_sweep_matches_hand_computation():
 
     assert result.y0 == pytest.approx(y0, rel=1e-10)
     assert result.z0 == pytest.approx(z0, rel=1e-10)
-    np.testing.assert_allclose(result.per_step[1].alpha, a2, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(result.per_step[0].beta, b1, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(result.diagnostics["alpha"][1], a2, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(result.diagnostics["beta"][0], b1, rtol=1e-9, atol=1e-12)
 
 
 def test_now_sweep_matches_hand_computation():
@@ -247,7 +257,7 @@ def test_now_sweep_matches_hand_computation():
         drift_dx=lambda t, x: np.zeros_like(x),
         diffusion_dx=lambda t, x: np.zeros_like(x))
     grid = make_uniform_grid(1.0, 2)
-    basis = make_basis("monomial", 3, problem, grid)
+    basis = BasisSet("monomial", 3, problem, grid)
     ens = simulate_paths(problem, grid, 50, seed=99)
     result = solve_regress_now(problem, grid, basis, ens, picard_iters=5,
                                picard_tol=1e-10)
@@ -285,19 +295,20 @@ def test_single_step_grid():
     # N = 1: one backward step, the now-scheme goes straight to the t0 means
     problem = call_problem()
     grid = make_uniform_grid(1.0, 1)
-    basis = make_basis("laguerre", 6, problem, grid)
+    basis = BasisSet("laguerre", 6, problem, grid)
     ens = simulate_paths(problem, grid, 20_000, seed=4)
     later = solve_regress_later(problem, grid, basis, ens)
     now = solve_regress_now(problem, grid, basis, ens)
+    assert_per_step_record(later, 1, ("alpha", "beta"))
+    assert_per_step_record(now, 1, ("picard_iterations", "picard_gap"))
     for res in (later, now):
-        assert len(res.per_step) == 1
         assert res.y0 == pytest.approx(1.3886, abs=0.1)
 
 
 def test_constant_only_basis_degenerates_gracefully():
     # k = 1: fits are means; the later-scheme gradient is identically zero
     problem = linear_brownian()
-    basis = make_basis("hermite", 1, problem, GRID)
+    basis = BasisSet("hermite", 1, problem, GRID)
     ens = simulate_paths(problem, GRID, 5000, seed=6)
     later = solve_regress_later(problem, GRID, basis, ens)
     assert later.z0 == 0.0
@@ -310,17 +321,17 @@ def test_constant_only_basis_degenerates_gracefully():
 def test_mismatched_inputs_rejected():
     problem = call_problem()
     other_grid = make_uniform_grid(1.0, 5)
-    basis = make_basis("laguerre", 6, problem, GRID)
+    basis = BasisSet("laguerre", 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 100, seed=1)
     with pytest.raises(ValueError):
         solve_regress_later(problem, other_grid, basis, ens)
     with pytest.raises(ValueError):
         solve_regress_later(problem, GRID,
-                            make_basis("laguerre", 6, problem, other_grid), ens)
+                            BasisSet("laguerre", 6, problem, other_grid), ens)
     other_problem = call_problem(S0=90.0)
     with pytest.raises(ValueError):
         solve_regress_later(other_problem, GRID,
-                            make_basis("laguerre", 6, other_problem, GRID), ens)
+                            BasisSet("laguerre", 6, other_problem, GRID), ens)
 
 
 def test_nonfinite_values_flag_offending_step():
@@ -331,7 +342,7 @@ def test_nonfinite_values_flag_offending_step():
         terminal=base.terminal, terminal_gradient=base.terminal_gradient,
         initial_state=0.0, horizon=1.0,
         drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
-    basis = make_basis("hermite", 3, exploding, GRID)
+    basis = BasisSet("hermite", 3, exploding, GRID)
     ens = simulate_paths(exploding, GRID, 200, seed=2)
     with pytest.raises(NumericalError, match="step 9"):
         solve_regress_later(exploding, GRID, basis, ens)
