@@ -15,8 +15,10 @@ rounding, never a quadrature.
 
 Families: ``laguerre`` (unit-norm for the exp(-u) weight on [0, inf) as
 standard), ``hermite`` (probabilists', unnormalized), ``monomial``.
-Coefficient tables are built from the three-term recurrences in exact
-rational arithmetic and then rounded once to float64.
+Values and state derivatives are evaluated by each family's three-term
+recurrence, one pass per basis function.  The monomial coefficient tables
+that the conditional expectations need are built from the same
+recurrences in exact rational arithmetic and then rounded once to float64.
 """
 
 from __future__ import annotations
@@ -42,66 +44,36 @@ BASIS_FAMILIES = ("laguerre", "hermite", "monomial")
 MAX_DEGREE = 30
 
 
-def _monomial_rows(k: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * j + [Fraction(1)] for j in range(k)]
-
-
-def _hermite_rows(k: int) -> list[list[Fraction]]:
-    # He_{n+1} = x He_n - n He_{n-1}
-    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for n in range(1, k - 1):
-        new = [Fraction(0)] * (n + 2)
-        for d, c in enumerate(rows[n]):
-            new[d + 1] += c
-        for d, c in enumerate(rows[n - 1]):
-            new[d] -= n * c
-        rows.append(new)
-    return rows[:k]
-
-
-def _laguerre_rows(k: int) -> list[list[Fraction]]:
-    # (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}
-    rows = [[Fraction(1)], [Fraction(1), Fraction(-1)]]
-    for n in range(1, k - 1):
-        new = [Fraction(0)] * (n + 2)
-        for d, c in enumerate(rows[n]):
-            new[d] += (2 * n + 1) * c
-            new[d + 1] -= c
-        for d, c in enumerate(rows[n - 1]):
-            new[d] -= n * c
-        rows.append([c / (n + 1) for c in new])
-    return rows[:k]
-
-
-_ROW_BUILDERS = {
-    "monomial": _monomial_rows,
-    "hermite": _hermite_rows,
-    "laguerre": _laguerre_rows,
-}
+def _recurrence_coefficients(family: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(a_n, b_n, c_n) of p_{n+1}(u) = (a_n u + b_n) p_n(u) - c_n p_{n-1}(u)."""
+    if family == "monomial":
+        return Fraction(1), Fraction(0), Fraction(0)
+    if family == "hermite":
+        # He_{n+1} = u He_n - n He_{n-1}
+        return Fraction(1), Fraction(0), Fraction(n)
+    # (n+1) L_{n+1} = (2n+1-u) L_n - n L_{n-1}
+    return Fraction(-1, n + 1), Fraction(2 * n + 1, n + 1), Fraction(n, n + 1)
 
 
 def _coefficient_table(family: str, k: int) -> np.ndarray:
     """k x k lower-triangular table; row j holds the monomial coefficients
-    of the degree-j family polynomial."""
-    rows = _ROW_BUILDERS[family](k)
+    of the degree-j family polynomial, exact until the final rounding."""
+    rows = [[Fraction(1)]]
+    for n in range(k - 1):
+        a, b, c = _recurrence_coefficients(family, n)
+        new = [Fraction(0)] * (n + 2)
+        for d, coef in enumerate(rows[n]):
+            new[d] += b * coef
+            new[d + 1] += a * coef
+        if n >= 1:
+            for d, coef in enumerate(rows[n - 1]):
+                new[d] -= c * coef
+        rows.append(new)
     table = np.zeros((k, k))
     for j, row in enumerate(rows):
-        for d, c in enumerate(row):
-            table[j, d] = float(c)
+        for d, coef in enumerate(row):
+            table[j, d] = float(coef)
     return table
-
-
-def _polyvals(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate all table rows at u; shape (len(u), k)."""
-    k = table.shape[0]
-    out = np.zeros((u.size, k))
-    power = np.ones_like(u)
-    for d in range(table.shape[1]):
-        col = table[:, d]
-        if np.any(col):
-            out += power[:, None] * col[None, :]
-        power = power * u
-    return out
 
 
 def gaussian_moments(mean: np.ndarray, std: np.ndarray, max_degree: int) -> np.ndarray:
@@ -158,9 +130,8 @@ class BasisSet:
         self.problem = problem
         self.grid = grid
         self._table = _coefficient_table(family, k)
-        self._dtable = np.zeros_like(self._table)
-        for d in range(1, k):
-            self._dtable[:, d - 1] = d * self._table[:, d]
+        self._recurrence = [tuple(float(v) for v in _recurrence_coefficients(family, n))
+                            for n in range(k - 1)]
         self._shift, self._scale = self._scaling(family, problem, grid)
 
     @staticmethod
@@ -208,15 +179,50 @@ class BasisSet:
         self._check_step(i)
         xv, scalar = self._as_vector(x)
         u = (xv - self._shift[i]) / self._scale[i]
-        out = _polyvals(self._table, u)
+        # Rows of one (k, M) buffer, returned transposed: the (M, k) design
+        # is column-major, the layout a factorisation copies straight.
+        p = np.empty((self.k, u.size))
+        p[0] = 1.0
+        tmp = np.empty_like(u)
+        for n, (a, b, c) in enumerate(self._recurrence):
+            nxt = p[n + 1]
+            np.multiply(u, a, out=nxt)
+            if b:
+                nxt += b
+            nxt *= p[n]
+            if c:
+                nxt -= np.multiply(p[n - 1], c, out=tmp)
+        out = p.T
         return out[0] if scalar else out
 
     def grad(self, i: int, x) -> np.ndarray:
-        """State derivative of eval, including the chain-rule scaling factor."""
+        """State derivative of eval, including the chain-rule scaling factor.
+
+        Differentiates the recurrence:
+        p'_{n+1} = a_n p_n + (a_n u + b_n) p'_n - c_n p'_{n-1}.
+        """
         self._check_step(i)
         xv, scalar = self._as_vector(x)
         u = (xv - self._shift[i]) / self._scale[i]
-        out = _polyvals(self._dtable, u) / self._scale[i]
+        dp = np.empty((self.k, u.size))
+        dp[0] = 0.0
+        p_prev, p = np.zeros_like(u), np.ones_like(u)
+        factor, tmp = np.empty_like(u), np.empty_like(u)
+        for n, (a, b, c) in enumerate(self._recurrence):
+            np.multiply(u, a, out=factor)
+            if b:
+                factor += b
+            nxt = dp[n + 1]
+            np.multiply(factor, dp[n], out=nxt)
+            nxt += np.multiply(p, a, out=tmp)
+            factor *= p
+            if c:
+                nxt -= np.multiply(dp[n - 1], c, out=tmp)
+                factor -= np.multiply(p_prev, c, out=tmp)
+            # factor now holds p_{n+1}; the buffer of p_{n-1} is free.
+            p_prev, p, factor = p, factor, p_prev
+        dp /= self._scale[i]
+        out = dp.T
         return out[0] if scalar else out
 
     def cond_exp(self, i: int, x) -> np.ndarray:

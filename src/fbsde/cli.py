@@ -16,7 +16,8 @@ byte-reproducible; reference columns are empty for problems without a
 closed form.
 
 Exit codes: 0 success, 2 configuration error (including non-finite or
-out-of-range values, rejected before any simulation), 3 numerical failure.
+out-of-range values, rejected before any simulation) or a run too large
+for memory (paths x steps), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -346,6 +347,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for paths × steps; reduce --paths or "
+              f"--steps ({exc})", file=sys.stderr)
         return 2
     return 0
 

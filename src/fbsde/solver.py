@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
-from .regress import project
+from .regress import FactoredDesign, project
 from .simulate import PathEnsemble
 
 __all__ = [
@@ -87,7 +87,7 @@ def _sweep(scheme, problem, grid, basis, paths, step, initial) -> SolverResult:
 
     N = grid.n_steps
     y = np.asarray(problem.terminal(paths.states[:, N]), dtype=np.float64)
-    _require_finite(y, N - 1, "terminal values")
+    _require_finite(y, N, "terminal values")
     diagnostics: dict = {}
     for i in range(N - 1, -1, -1):
         y, record = step(i, y)
@@ -127,18 +127,23 @@ def solve_regress_later(
         x_next = states[:, i + 1]
         design = basis.eval(i, x_next)
         _require_finite(design, i, "basis values")
-        alpha, cond_a = project(design, target, ridge=ridge)
+        fit = FactoredDesign(design, ridge=ridge)
+        alpha = fit.solve(target)
 
         z_next = (basis.grad(i, x_next) @ alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(
             problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
         )
         _require_finite(f_next, i, "driver values")
-        beta, cond_b = project(design, f_next, ridge=ridge)
+        beta = fit.solve(f_next)
+        condition = fit.condition
+        # Free the reflectors and pathwise fields before cond_exp allocates
+        # its (k, M) moments: this keeps the sweep's peak memory down.
+        del fit, f_next, z_next
 
         weights = alpha + deltas[i] * beta
         y = basis.cond_exp(i, states[:, i]) @ weights
-        return y, {"condition": max(cond_a, cond_b), "alpha": alpha, "beta": beta}
+        return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
     def initial(y, diagnostics):
         x0 = problem.initial_state
@@ -189,11 +194,11 @@ def solve_regress_now(
             x = states[:, i]
             design = basis.eval(i, x)
             _require_finite(design, i, "basis values")
-            coef_y, cond_y = project(design, y, ridge=ridge)
-            e_y = design @ coef_y
-            coef_z, cond_z = project(design, y * increments[:, i] / deltas[i], ridge=ridge)
-            z = design @ coef_z
-            condition = max(cond_y, cond_z)
+            # Both targets are known up front: one factorisation serves both.
+            targets = np.column_stack([y, y * increments[:, i] / deltas[i]])
+            coefs, condition = project(design, targets, ridge=ridge)
+            e_y = design @ coefs[:, 0]
+            z = design @ coefs[:, 1]
 
         # Picard iteration on y = e_y + delta_i * f(t_i, x, y, z).
         current = e_y.copy()

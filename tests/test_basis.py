@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,63 @@ def test_gradient_matches_fd_with_state_scaling(family):
     x, h = 104.0, 1e-3
     fd = (basis.eval(5, x + h) - basis.eval(5, x - h)) / (2 * h)
     np.testing.assert_allclose(basis.grad(5, x), fd, rtol=1e-6, atol=1e-12)
+
+
+# ----------------------------------------------- recurrence exactness
+
+
+def closed_form_rows(family, k):
+    """Monomial coefficients of the first k family polynomials, in exact
+    arithmetic from their closed forms (independent of the recurrence)."""
+    rows = []
+    for n in range(k):
+        if family == "monomial":
+            rows.append([Fraction(0)] * n + [Fraction(1)])
+        elif family == "hermite":
+            # He_n(u) = n! sum_m (-1)^m u^(n-2m) / (m! (n-2m)! 2^m)
+            row = [Fraction(0)] * (n + 1)
+            for m in range(n // 2 + 1):
+                row[n - 2 * m] = Fraction((-1) ** m * factorial(n),
+                                          factorial(m) * factorial(n - 2 * m) * 2 ** m)
+            rows.append(row)
+        else:
+            # L_n(u) = sum_j (-1)^j C(n, j) u^j / j!
+            rows.append([Fraction((-1) ** j * comb(n, j), factorial(j))
+                         for j in range(n + 1)])
+    return rows
+
+
+# Scaled states u, exact in binary, on both sides of the shift.
+RATIONAL_U = (0.0, -2.75, -0.5, 0.25, 1.75, 3.5)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
+@pytest.mark.parametrize("k", [1, 2, 6, 12])
+def test_recurrence_matches_exact_polynomials(family, k):
+    # x0 = 1.5 on a T=1, N=4 grid: step 1 scales by sqrt(0.25) = 0.5 around
+    # 1.5 (hermite) or by 1.5 around 0 (laguerre, monomial), so each x below
+    # is exact and maps back to its u without rounding.
+    problem = make_problem(ProblemCatalogEntry.with_defaults("custom", x0=1.5))
+    grid = make_uniform_grid(1.0, 4)
+    basis = BasisSet(family, k, problem, grid)
+    shift, scale = (1.5, 0.5) if family == "hermite" else (0.0, 1.5)
+    x = np.array([shift + scale * u for u in RATIONAL_U])
+    values, grads = basis.eval(1, x), basis.grad(1, x)
+    assert values.shape == grads.shape == (x.size, k)
+    rows = closed_form_rows(family, k)
+    for m, u in enumerate(RATIONAL_U):
+        q = Fraction(u)
+        for j, row in enumerate(rows):
+            value = sum(c * q ** d for d, c in enumerate(row))
+            slope = sum(d * c * q ** (d - 1) for d, c in enumerate(row) if d) / Fraction(scale)
+            # rounding scale of the polynomial at u: sum of |terms|
+            size = float(sum(abs(c * q ** d) for d, c in enumerate(row)))
+            dsize = float(sum(abs(d * c * q ** (d - 1)) for d, c in enumerate(row) if d)) / scale
+            assert abs(values[m, j] - float(value)) <= 1e-13 * size
+            assert abs(grads[m, j] - float(slope)) <= 1e-13 * dsize
+        # scalar input path: shape (k,), same numbers
+        np.testing.assert_array_equal(basis.eval(1, float(x[m])), values[m])
+        np.testing.assert_array_equal(basis.grad(1, float(x[m])), grads[m])
 
 
 # ------------------------------------------------------------- cond_exp

@@ -209,6 +209,21 @@ def test_exit_code_on_numerical_failure(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_exit_code_on_allocation_failure(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.80 PiB")
+
+    monkeypatch.setattr(cli_module, "simulate_paths", out_of_memory)
+    out = tmp_path / "rows.csv"
+    code = main(["solve", "--problem", "put", "--paths", "100000000000000",
+                 "--steps", "10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory for paths × steps")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_override_precedence(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("problem = arctan\npaths = 500\nsteps = 4\nk = 3\nseed = 1\n")

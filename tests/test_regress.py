@@ -3,7 +3,7 @@ import pytest
 
 from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.regress import project
+from fbsde.regress import FactoredDesign, project
 from fbsde.simulate import simulate_paths
 
 
@@ -108,3 +108,67 @@ def test_project_on_basis_design():
     assert design.shape == (300, 5)
     coeffs, cond = project(design, np.ones(300))
     assert np.isfinite(coeffs).all() and cond >= 1.0
+
+
+# ------------------------------------------------- one factorisation
+
+
+def duplicated_column_design(rng):
+    col = rng.standard_normal(300)
+    return np.column_stack([col, rng.standard_normal(300), col])
+
+
+def call_step4_design():
+    # The later scheme's step-4 design on the shipped call problem:
+    # s_min/s_max ~ 3e-12 falls below rcond = M * eps ~ 2.2e-11.
+    problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
+    grid = make_uniform_grid(1.0, 10)
+    basis = BasisSet("laguerre", 6, problem, grid)
+    ens = simulate_paths(problem, grid, 100_000, seed=101)
+    return basis.eval(4, ens.states[:, 5])
+
+
+FACTOR_CASES = {
+    # name: (design builder, ridge, condition rtol or None if rank deficient)
+    "well_conditioned": (lambda rng: rng.standard_normal((500, 5)), 0.0, 1e-12),
+    "duplicated_column": (duplicated_column_design, 0.0, None),
+    "ridge": (lambda rng: rng.standard_normal((200, 4)), 0.5, 1e-12),
+    "call_step4": (lambda rng: call_step4_design(), 0.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_factorisation_matches_lstsq_for_two_targets(case):
+    build, ridge, cond_rtol = FACTOR_CASES[case]
+    rng = np.random.default_rng(11)
+    design = build(rng)
+    rows, k = design.shape
+    targets = np.column_stack([np.sin(design[:, 1]) + design[:, 0],
+                               rng.standard_normal(rows)])
+    fit = FactoredDesign(design, ridge=ridge)
+    first, second = fit.solve(targets[:, 0]), fit.solve(targets[:, 1])
+    # several targets at once solve exactly as each alone
+    np.testing.assert_array_equal(fit.solve(targets), np.column_stack([first, second]))
+
+    stacked, padded = design, targets
+    if ridge > 0.0:
+        stacked = np.vstack([design, np.sqrt(ridge) * np.eye(k)])
+        padded = np.vstack([targets, np.zeros((k, 2))])
+    eps = np.finfo(np.float64).eps
+    rcond = stacked.shape[0] * eps
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    kept = sv[sv > rcond * sv[0]]
+    # rounding of a backward-stable solve, amplified by the condition of
+    # the directions that are kept
+    coef_rtol = 100 * eps * kept[0] / kept[-1]
+    for got, target in zip((first, second), padded.T):
+        want = np.linalg.lstsq(stacked, target, rcond=rcond)[0]
+        assert np.max(np.abs(got - want)) <= coef_rtol * np.max(np.abs(want))
+
+    if cond_rtol is None:
+        # exactly rank deficient: flagged as singular or beyond 1/rcond
+        assert fit.condition == np.inf or fit.condition > 1.0 / rcond
+    else:
+        assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=cond_rtol)
+    if case == "call_step4":
+        assert sv[-1] / sv[0] < rcond  # the dropped direction is really dropped

@@ -291,6 +291,25 @@ def test_now_sweep_matches_hand_computation():
     assert result.z0 == pytest.approx(z0, rel=1e-10)
 
 
+def test_condition_is_that_of_each_step_design():
+    # one factorisation per step: its condition must still be the singular
+    # value ratio lstsq sees on that step's design (call config, one seed)
+    problem = call_problem()
+    basis = BasisSet("laguerre", 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 100_000, seed=101)
+    later = solve_regress_later(problem, GRID, basis, ens)
+    now = solve_regress_now(problem, GRID, basis, ens)
+    rcond = 100_000 * np.finfo(np.float64).eps
+    target = np.ones(100_000)
+    for i in range(GRID.n_steps):
+        sv = np.linalg.lstsq(basis.eval(i, ens.states[:, i + 1]), target, rcond=rcond)[3]
+        assert later.diagnostics["condition"][i] == pytest.approx(sv[0] / sv[-1], rel=1e-3)
+        if i >= 1:
+            sv = np.linalg.lstsq(basis.eval(i, ens.states[:, i]), target, rcond=rcond)[3]
+            assert now.diagnostics["condition"][i] == pytest.approx(sv[0] / sv[-1], rel=1e-3)
+    assert now.diagnostics["condition"][0] == 1.0
+
+
 def test_single_step_grid():
     # N = 1: one backward step, the now-scheme goes straight to the t0 means
     problem = call_problem()
@@ -346,3 +365,18 @@ def test_nonfinite_values_flag_offending_step():
     ens = simulate_paths(exploding, GRID, 200, seed=2)
     with pytest.raises(NumericalError, match="step 9"):
         solve_regress_later(exploding, GRID, basis, ens)
+
+
+def test_nonfinite_terminal_values_flag_step_n():
+    base = linear_brownian()
+    problem = FbsdeProblem(
+        drift=base.drift, diffusion=base.diffusion, driver=base.driver,
+        terminal=lambda x: np.where(x > 0.0, np.nan, x),
+        terminal_gradient=base.terminal_gradient,
+        initial_state=0.0, horizon=1.0,
+        drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
+    basis = BasisSet("hermite", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 200, seed=2)
+    for solve in (solve_regress_later, solve_regress_now):
+        with pytest.raises(NumericalError, match="terminal values at step 10$"):
+            solve(problem, GRID, basis, ens)
