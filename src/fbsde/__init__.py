@@ -4,7 +4,6 @@ classical regression-now implicit scheme, and closed-form oracles for
 error measurement."""
 
 from .basis import BASIS_FAMILIES, MAX_DEGREE, BasisSet
-from .cli import ReportRow, RunConfig, run
 from .model import (CATALOG_DEFAULTS, FbsdeProblem, ProblemCatalogEntry,
                     TimeGrid, make_problem, make_uniform_grid)
 from .oracle import (NestedEstimate, ReferenceValue, arctan_solution,
@@ -18,9 +17,6 @@ __all__ = [
     "BASIS_FAMILIES",
     "MAX_DEGREE",
     "BasisSet",
-    "ReportRow",
-    "RunConfig",
-    "run",
     "CATALOG_DEFAULTS",
     "FbsdeProblem",
     "ProblemCatalogEntry",

@@ -26,7 +26,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,12 @@ class ConfigError(ValueError):
 SCHEMES = ("later", "now", "both")
 
 _INT_LIST_KEYS = ("paths", "steps", "k", "seed")
+
+# Keys that also have a --<key> flag of `fbsde solve`.
+_FLAG_KEYS = ("problem", "scheme", "paths", "steps", "k", "family", "seed", "ridge", "out")
+
+# Ceiling on picard_iters: with picard_tol=0 every step runs all of them.
+MAX_PICARD_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,7 @@ class ReportRow:
     err_basis: str
 
 
-REPORT_COLUMNS = (
-    "scheme", "problem", "M", "N", "k", "family", "seed",
-    "y0_hat", "z0_hat", "y0_ref", "z0_ref",
-    "abs_err_y", "abs_err_z", "log10_rel_err_y", "log10_rel_err_z",
-    "max_condition", "runtime_ms", "err_basis",
-)
+REPORT_COLUMNS = tuple(field.name for field in fields(ReportRow))
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -187,8 +188,9 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
             values[key] = number
         elif key == "picard_iters":
             iters = _parse_float(key, raw)
-            if not (iters.is_integer() and iters >= 1):
-                raise ConfigError(f"key 'picard_iters': must be an integer >= 1, got {raw!r}")
+            if not (iters.is_integer() and 1 <= iters <= MAX_PICARD_ITERS):
+                raise ConfigError(f"key 'picard_iters': must be an integer in "
+                                  f"[1, {MAX_PICARD_ITERS}], got {raw!r}")
             values[key] = int(iters)
         elif key == "out":
             values["output_path"] = raw
@@ -302,15 +304,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run the configured experiment")
     solve.add_argument("--config", help="path to a key=value config file")
-    solve.add_argument("--problem", dest="problem")
-    solve.add_argument("--scheme", dest="scheme")
-    solve.add_argument("--paths", dest="paths")
-    solve.add_argument("--steps", dest="steps")
-    solve.add_argument("--k", dest="k")
-    solve.add_argument("--family", dest="family")
-    solve.add_argument("--seed", dest="seed")
-    solve.add_argument("--ridge", dest="ridge")
-    solve.add_argument("--out", dest="out")
+    for key in _FLAG_KEYS:
+        solve.add_argument(f"--{key}")
     solve.add_argument("--timings", action="store_true",
                        help="write measured runtimes (output no longer byte-reproducible)")
     solve.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
@@ -331,8 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"override {item!r}: expected KEY=VALUE")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
-        for key in ("problem", "scheme", "paths", "steps", "k", "family",
-                    "seed", "ridge", "out"):
+        for key in _FLAG_KEYS:
             value = getattr(args, key)
             if value is not None:
                 mapping[key] = value

@@ -7,7 +7,7 @@ fixed range of counter blocks: with B = ceil(N/4) blocks per path (Philox
 emits four 64-bit words per block), the normal for (path m, step i) is a
 pure function of (seed, m, i).  Generating any contiguous path range is
 therefore a matter of advancing the counter to the range start, so chunked
-or multi-worker generation is bit-identical to single-shot generation.
+generation is bit-identical to single-shot generation.
 
 Each 64-bit word is reduced to its top 52 bits and mapped through the
 midpoint uniform u = (bits + 1/2) * 2**-52, which lies strictly inside
@@ -22,8 +22,6 @@ columns).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +34,11 @@ __all__ = [
     "PathEnsemble",
     "simulate_paths",
     "euler_states",
-    "WORKERS_ENV",
 ]
 
-# Optional worker count for path generation; results never depend on it.
-WORKERS_ENV = "FBSDE_WORKERS"
-
-_CHUNK = 16_384  # paths per generation task; fixed, not tied to worker count
+# Paths drawn per Philox/ndtri call.  It bounds the draw temporaries (words,
+# uniforms, normals) by _CHUNK x N rather than M x N; no bit depends on it.
+_CHUNK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,51 +120,24 @@ def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) 
     return states.T  # F-ordered view: time columns stay contiguous
 
 
-def simulate_paths(
-    problem: FbsdeProblem,
-    grid: TimeGrid,
-    M: int,
-    seed: int,
-    workers: int | None = None,
-) -> PathEnsemble:
+def simulate_paths(problem: FbsdeProblem, grid: TimeGrid, M: int, seed: int) -> PathEnsemble:
     """Simulate M Euler-Maruyama paths of the forward process.
 
-    Identical (problem, grid, M, seed) produce bit-identical ensembles at
-    any worker count (``workers`` falls back to the FBSDE_WORKERS
-    environment variable, default 1).
+    Identical (problem, grid, M, seed) produce bit-identical ensembles.
     """
     if M < 1:
         raise ValueError(f"path count must be at least 1, got M={M}")
     seed = _validate_seed(seed)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    workers = max(1, workers)
 
     N = grid.n_steps
     sqrt_dt = np.sqrt(grid.deltas)
     increments = np.empty((N, M))  # time-major; transposed below
+    for a in range(0, M, _CHUNK):
+        b = min(a + _CHUNK, M)
+        increments[:, a:b] = (_path_normals(seed, a, b, N) * sqrt_dt).T
 
-    bounds = list(range(0, M, _CHUNK)) + [M]
-
-    def fill(a: int, b: int) -> np.ndarray:
-        dw = _path_normals(seed, a, b, N) * sqrt_dt[None, :]
-        increments[:, a:b] = dw.T
-        return euler_states(problem, grid, dw)
-
-    if workers == 1 or len(bounds) == 2:
-        chunks = [fill(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(fill, bounds[:-1], bounds[1:]))
-
-    states = np.empty((N + 1, M))
-    offset = 0
-    for chunk in chunks:
-        states[:, offset:offset + chunk.shape[0]] = chunk.T
-        offset += chunk.shape[0]
-
-    states_mi = states.T
     increments_mi = increments.T
+    states_mi = euler_states(problem, grid, increments_mi)
     states_mi.setflags(write=False)
     increments_mi.setflags(write=False)
     return PathEnsemble(states=states_mi, increments=increments_mi, grid=grid, seed=seed)

@@ -128,6 +128,7 @@ def solve_regress_later(
         design = basis.eval(i, x_next)
         _require_finite(design, i, "basis values")
         fit = FactoredDesign(design, ridge=ridge)
+        del design  # fit keeps its own copy; the step's peak drops by one (M, k) array
         alpha = fit.solve(target)
 
         z_next = (basis.grad(i, x_next) @ alpha) * problem.diffusion(times[i + 1], x_next)
@@ -207,7 +208,8 @@ def solve_regress_now(
                 problem.driver(times[i], x, current, z), dtype=np.float64)
             gap = float(np.max(np.abs(proposal - current)))
             current = proposal
-            if gap < picard_tol:
+            # Converged, or a NaN gap: stop, and the sweep's finite check raises.
+            if not gap >= picard_tol:
                 break
         return current, {"condition": condition, "picard_iterations": iterations,
                          "picard_gap": gap}

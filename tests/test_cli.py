@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbsde
 import fbsde.cli as cli_module
 from fbsde.basis import MAX_DEGREE
 from fbsde.cli import (REPORT_COLUMNS, ConfigError, build_config, main,
@@ -156,17 +160,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    args = ["solve", "--problem", "custom", "--paths", "3000", "--steps", "3",
-            "--k", "3", "--family", "hermite", "--seed", "2"]
-    monkeypatch.setenv("FBSDE_WORKERS", "1")
-    assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("FBSDE_WORKERS", "4")
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_sweep_rows_reproducible_from_point_configs():
     # a row's (y0_hat, z0_hat) depends only on (problem, M, N, k, family,
     # seed, ridge), not on the sweep it was embedded in
@@ -236,6 +229,20 @@ def test_override_precedence(tmp_path):
     assert fields[REPORT_COLUMNS.index("seed")] == "9"
 
 
+def test_module_run_prints_no_warning(tmp_path):
+    # `python -m fbsde.cli` must not find the module already imported by the package
+    out = tmp_path / "rows.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(fbsde.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fbsde.cli", "solve",
+         "--problem", "custom", "--paths", "200", "--steps", "2", "--k", "3",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert out.exists()
+
+
 # ---------------------------------------------------------- input contract
 
 
@@ -252,6 +259,7 @@ def test_override_precedence(tmp_path):
     (["picard_iters=2.7"], "picard_iters"),
     (["--problem", "call", "r=nan"], "r"),
     (["--problem", "call", "mu=inf"], "mu"),
+    (["picard_iters=1001"], "picard_iters"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, args, key):
     def no_simulation(*args, **kwargs):
@@ -291,6 +299,13 @@ def _overrides(draw):
     return {"problem": problem, **{key: draw(values[key]) for key in keys}}
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects e.g. `--ridge -inf`
+        return exc.code
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(overrides=_overrides())
@@ -298,7 +313,21 @@ def test_any_overrides_end_in_a_documented_exit_code(overrides):
     # defaults for keys not drawn; drawn sizes also stay at paths <= 500, steps <= 4
     mapping = {"paths": "50", "steps": "2", "k": "3", **overrides}
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "rows.csv"
-        code = main(["solve", "--out", str(out), *(f"{k}={v}" for k, v in mapping.items())])
-        assert code in (0, 2, 3)
-        assert out.exists() == (code == 0)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        flags = [arg for k, v in mapping.items()
+                 for arg in ((f"--{k}", v) if k in cli_module._FLAG_KEYS else (f"{k}={v}",))]
+        routes = {
+            "overrides": [f"{k}={v}" for k, v in mapping.items()],
+            "flags": flags,
+            "config": ["--config", str(cfg)],
+        }
+        results = {}
+        for route, args in routes.items():
+            out = Path(tmp) / f"{route}.csv"
+            code = _exit_code(["solve", "--out", str(out), *args])
+            assert code in (0, 2, 3), route
+            assert out.exists() == (code == 0), route
+            results[route] = (code, out.read_bytes() if code == 0 else None)
+        # the three routes reach build_config with the same mapping
+        assert results["flags"] == results["overrides"] == results["config"]

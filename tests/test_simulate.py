@@ -82,25 +82,16 @@ def test_determinism_same_arguments():
     assert not np.array_equal(a.increments, c.increments)
 
 
-def test_determinism_across_worker_counts(monkeypatch):
+def test_determinism_across_chunk_sizes(monkeypatch):
+    # splitting the counter range into draws of any size changes no bit
     problem = gbm_problem()
     grid = make_uniform_grid(1.0, 3)
-    # force several chunks so the worker pool actually splits the work
-    monkeypatch.setattr("fbsde.simulate._CHUNK", 1000)
-    base = simulate_paths(problem, grid, 10_000, seed=5, workers=1)
-    for workers in (2, 5):
-        other = simulate_paths(problem, grid, 10_000, seed=5, workers=workers)
+    base = simulate_paths(problem, grid, 10_000, seed=5)
+    for chunk in (1000, 7, 10_000):
+        monkeypatch.setattr("fbsde.simulate._CHUNK", chunk)
+        other = simulate_paths(problem, grid, 10_000, seed=5)
         assert np.array_equal(base.states, other.states)
         assert np.array_equal(base.increments, other.increments)
-
-
-def test_workers_env_variable(monkeypatch):
-    problem = gbm_problem()
-    grid = make_uniform_grid(1.0, 3)
-    base = simulate_paths(problem, grid, 2000, seed=5)
-    monkeypatch.setenv("FBSDE_WORKERS", "4")
-    env = simulate_paths(problem, grid, 2000, seed=5)
-    assert np.array_equal(base.states, env.states)
 
 
 def test_euler_reconstruction_is_bitwise():

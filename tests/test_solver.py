@@ -380,3 +380,24 @@ def test_nonfinite_terminal_values_flag_step_n():
     for solve in (solve_regress_later, solve_regress_now):
         with pytest.raises(NumericalError, match="terminal values at step 10$"):
             solve(problem, GRID, basis, ens)
+
+
+def test_nan_driver_stops_picard_at_first_iteration():
+    # a NaN gap is not progress: the loop stops and the finite check raises
+    base = linear_brownian()
+    calls = []
+
+    def nan_driver(t, x, y, z):
+        calls.append(t)
+        return np.full_like(y, np.nan)
+
+    problem = FbsdeProblem(
+        drift=base.drift, diffusion=base.diffusion, driver=nan_driver,
+        terminal=base.terminal, terminal_gradient=base.terminal_gradient,
+        initial_state=0.0, horizon=1.0,
+        drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
+    basis = BasisSet("hermite", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 200, seed=2)
+    with pytest.raises(NumericalError, match="fitted values at step 9$"):
+        solve_regress_now(problem, GRID, basis, ens, picard_iters=50)
+    assert calls == [GRID.times[9]]
