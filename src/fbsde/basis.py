@@ -15,15 +15,15 @@ rounding, never a quadrature.
 
 Families: ``laguerre`` (unit-norm for the exp(-u) weight on [0, inf) as
 standard), ``hermite`` (probabilists', unnormalized), ``monomial``.
-Values and state derivatives are evaluated by each family's three-term
-recurrence, one pass per basis function.  The monomial coefficient tables
-that the conditional expectations need are built from the same
-recurrences in exact rational arithmetic and then rounded once to float64.
+Each family is one three-term recurrence for the values and one derivative
+rule p'_{n+1} = d_n p'_n + e_n p_n.  The rule has constant coefficients, so
+it also maps E[p_n(U)] to E[p'_n(U)], and it gives the monomial table as
+the Taylor coefficients at u = 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -44,36 +44,18 @@ BASIS_FAMILIES = ("laguerre", "hermite", "monomial")
 MAX_DEGREE = 30
 
 
-def _recurrence_coefficients(family: str, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(a_n, b_n, c_n) of p_{n+1}(u) = (a_n u + b_n) p_n(u) - c_n p_{n-1}(u)."""
+def _recurrence_coefficients(family: str, n: int) -> tuple[float, float, float, float, float]:
+    """(a_n, b_n, c_n, d_n, e_n) of the recurrence
+    p_{n+1}(u) = (a_n u + b_n) p_n(u) - c_n p_{n-1}(u) and the derivative
+    rule p'_{n+1}(u) = d_n p'_n(u) + e_n p_n(u)."""
     if family == "monomial":
-        return Fraction(1), Fraction(0), Fraction(0)
+        # u^{n+1}' = (n+1) u^n
+        return 1.0, 0.0, 0.0, 0.0, n + 1.0
     if family == "hermite":
-        # He_{n+1} = u He_n - n He_{n-1}
-        return Fraction(1), Fraction(0), Fraction(n)
-    # (n+1) L_{n+1} = (2n+1-u) L_n - n L_{n-1}
-    return Fraction(-1, n + 1), Fraction(2 * n + 1, n + 1), Fraction(n, n + 1)
-
-
-def _coefficient_table(family: str, k: int) -> np.ndarray:
-    """k x k lower-triangular table; row j holds the monomial coefficients
-    of the degree-j family polynomial, exact until the final rounding."""
-    rows = [[Fraction(1)]]
-    for n in range(k - 1):
-        a, b, c = _recurrence_coefficients(family, n)
-        new = [Fraction(0)] * (n + 2)
-        for d, coef in enumerate(rows[n]):
-            new[d] += b * coef
-            new[d + 1] += a * coef
-        if n >= 1:
-            for d, coef in enumerate(rows[n - 1]):
-                new[d] -= c * coef
-        rows.append(new)
-    table = np.zeros((k, k))
-    for j, row in enumerate(rows):
-        for d, coef in enumerate(row):
-            table[j, d] = float(coef)
-    return table
+        # He_{n+1} = u He_n - n He_{n-1};  He_{n+1}' = (n+1) He_n
+        return 1.0, 0.0, float(n), 0.0, n + 1.0
+    # (n+1) L_{n+1} = (2n+1-u) L_n - n L_{n-1};  L_{n+1}' = L_n' - L_n
+    return -1 / (n + 1), (2 * n + 1) / (n + 1), n / (n + 1), 1.0, -1.0
 
 
 def gaussian_moments(mean: np.ndarray, std: np.ndarray, max_degree: int) -> np.ndarray:
@@ -129,10 +111,9 @@ class BasisSet:
         self.k = k
         self.problem = problem
         self.grid = grid
-        self._table = _coefficient_table(family, k)
-        self._recurrence = [tuple(float(v) for v in _recurrence_coefficients(family, n))
-                            for n in range(k - 1)]
+        self._coefficients = [_recurrence_coefficients(family, n) for n in range(k - 1)]
         self._shift, self._scale = self._scaling(family, problem, grid)
+        self._table = self._taylor_table()
 
     @staticmethod
     def _scaling(family: str, problem: FbsdeProblem, grid: TimeGrid):
@@ -171,20 +152,13 @@ class BasisSet:
         s = np.asarray(self.problem.diffusion(t, x), dtype=np.float64) * np.sqrt(dt)
         return (m - self._shift[i]) / self._scale[i], s / self._scale[i]
 
-    # -- operations --------------------------------------------------------
-
-    def eval(self, i: int, x) -> np.ndarray:
-        """Basis values e_i(x); component j is the degree-j polynomial of
-        the scaled state."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        u = (xv - self._shift[i]) / self._scale[i]
-        # Rows of one (k, M) buffer, returned transposed: the (M, k) design
-        # is column-major, the layout a factorisation copies straight.
+    def _polys(self, u: np.ndarray) -> np.ndarray:
+        """p_0..p_{k-1} at the scaled states u: one (k, M) buffer, returned
+        transposed, since a factorisation copies a column-major design straight."""
         p = np.empty((self.k, u.size))
         p[0] = 1.0
         tmp = np.empty_like(u)
-        for n, (a, b, c) in enumerate(self._recurrence):
+        for n, (a, b, c, _, _) in enumerate(self._coefficients):
             nxt = p[n + 1]
             np.multiply(u, a, out=nxt)
             if b:
@@ -192,55 +166,70 @@ class BasisSet:
             nxt *= p[n]
             if c:
                 nxt -= np.multiply(p[n - 1], c, out=tmp)
-        out = p.T
+        return p.T
+
+    def _differentiate(self, rows: np.ndarray) -> np.ndarray:
+        """Overwrite the (k, M) rows p_0..p_{k-1} (values, or conditional
+        expectations of the values) with their u-derivatives, by the rule
+        p'_{n+1} = d_n p'_n + e_n p_n, elementwise.  Returns ``rows``."""
+        p, saved, tmp = rows[0].copy(), np.empty_like(rows[0]), np.empty_like(rows[0])
+        rows[0] = 0.0
+        for n, (_, _, _, d, e) in enumerate(self._coefficients):
+            nxt = rows[n + 1]
+            saved[...] = nxt
+            np.multiply(p, e, out=nxt)
+            if d:
+                nxt += np.multiply(rows[n], d, out=tmp)
+            p, saved = saved, p
+        return rows
+
+    def _taylor_table(self) -> np.ndarray:
+        """Entry (j, d) is p_j^(d)(0)/d!: row j holds the monomial coefficients of p_j."""
+        rows = self._polys(np.zeros(1)).T
+        table = np.empty((self.k, self.k))
+        for d in range(self.k):
+            table[:, d] = rows[:, 0] / float(factorial(d))
+            self._differentiate(rows)
+        return table
+
+    # -- operations --------------------------------------------------------
+
+    def eval(self, i: int, x) -> np.ndarray:
+        """Basis values e_i(x); component j is the degree-j polynomial of
+        the scaled state."""
+        self._check_step(i)
+        xv, scalar = self._as_vector(x)
+        out = self._polys((xv - self._shift[i]) / self._scale[i])
         return out[0] if scalar else out
 
     def grad(self, i: int, x) -> np.ndarray:
-        """State derivative of eval, including the chain-rule scaling factor.
-
-        Differentiates the recurrence:
-        p'_{n+1} = a_n p_n + (a_n u + b_n) p'_n - c_n p'_{n-1}.
-        """
+        """State derivative of eval, including the chain-rule scaling factor."""
         self._check_step(i)
         xv, scalar = self._as_vector(x)
-        u = (xv - self._shift[i]) / self._scale[i]
-        dp = np.empty((self.k, u.size))
-        dp[0] = 0.0
-        p_prev, p = np.zeros_like(u), np.ones_like(u)
-        factor, tmp = np.empty_like(u), np.empty_like(u)
-        for n, (a, b, c) in enumerate(self._recurrence):
-            np.multiply(u, a, out=factor)
-            if b:
-                factor += b
-            nxt = dp[n + 1]
-            np.multiply(factor, dp[n], out=nxt)
-            nxt += np.multiply(p, a, out=tmp)
-            factor *= p
-            if c:
-                nxt -= np.multiply(dp[n - 1], c, out=tmp)
-                factor -= np.multiply(p_prev, c, out=tmp)
-            # factor now holds p_{n+1}; the buffer of p_{n-1} is free.
-            p_prev, p, factor = p, factor, p_prev
-        dp /= self._scale[i]
-        out = dp.T
+        rows = self._differentiate(self._polys((xv - self._shift[i]) / self._scale[i]).T)
+        rows /= self._scale[i]
+        out = rows.T
         return out[0] if scalar else out
+
+    def _expectations(self, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """(k, M) rows E[p_j(m + s*G)]: moments times the Taylor table."""
+        mu = gaussian_moments(m, s, self.k - 1)          # (k, M)
+        return np.tensordot(self._table, mu, axes=(1, 0))
 
     def cond_exp(self, i: int, x) -> np.ndarray:
         """Exact E[e_i(X_{t_{i+1}}) | X_{t_i} = x] under the Euler transition."""
         self._check_step(i)
         xv, scalar = self._as_vector(x)
-        m, s = self._transition(i, xv)
-        mu = gaussian_moments(m, s, self.k - 1)          # (k, M)
-        out = np.tensordot(self._table, mu, axes=(1, 0)).T
+        out = self._expectations(*self._transition(i, xv)).T
         return out[0] if scalar else out
 
     def cond_exp_grad(self, i: int, x) -> np.ndarray:
         """Exact x-derivative of cond_exp.
 
-        Differentiates the moment expansion through the x-dependence of the
-        transition mean and standard deviation:
-        d mu_d / dx = d*m'' * mu_{d-1} + d*(d-1) * s' * s'' * mu_{d-2},
-        with m'' = dm'/dx and s'' = ds'/dx.
+        With U = m' + s'G, d/dx E[p(U)] = m'' E[p'(U)] + s'' E[p'(U) G], and
+        Gaussian integration by parts, E[p'(U) G] = s' E[p''(U)], gives
+        m'' D(h) + s' s'' D(D(h)), where h are the cond_exp rows, D is the
+        derivative rule, m'' = dm'/dx and s'' = ds'/dx.
         """
         self._check_step(i)
         xv, scalar = self._as_vector(x)
@@ -249,14 +238,11 @@ class BasisSet:
         m, s = self._transition(i, xv)
         dm = (1.0 + dt * self.problem.drift_x(t, xv)) / self._scale[i]
         ds = self.problem.diffusion_x(t, xv) * np.sqrt(dt) / self._scale[i]
-        dm, ds = np.broadcast_arrays(dm, ds)
 
-        mu = gaussian_moments(m, s, self.k - 1)
-        dmu = np.zeros_like(mu)
-        if self.k > 1:
-            dmu[1] = dm
-        s_ds = np.broadcast_to(s, dm.shape) * ds
-        for d in range(2, self.k):
-            dmu[d] = d * dm * mu[d - 1] + d * (d - 1) * s_ds * mu[d - 2]
-        out = np.tensordot(self._table, dmu, axes=(1, 0)).T
+        first = self._differentiate(self._expectations(m, s))
+        second = self._differentiate(first.copy())
+        first *= dm
+        second *= s * ds
+        first += second
+        out = first.T
         return out[0] if scalar else out

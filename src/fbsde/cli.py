@@ -311,7 +311,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     solve.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="additional config overrides")
 
-    args = parser.parse_args(argv)
+    # "--key VALUE" -> "--key=VALUE": argparse would read a VALUE that starts
+    # with '-' (--ridge -inf) as an option, not hand it to build_config.
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    flags = {f"--{key}" for key in _FLAG_KEYS}
+    j = 0
+    while j < len(tokens) - 1:
+        if tokens[j] in flags:
+            tokens[j:j + 2] = [f"{tokens[j]}={tokens[j + 1]}"]
+        j += 1
+    args = parser.parse_args(tokens)
     try:
         mapping: dict[str, str] = {}
         if args.config:

@@ -208,8 +208,9 @@ def solve_regress_now(
                 problem.driver(times[i], x, current, z), dtype=np.float64)
             gap = float(np.max(np.abs(proposal - current)))
             current = proposal
-            # Converged, or a NaN gap: stop, and the sweep's finite check raises.
-            if not gap >= picard_tol:
+            # Converged, or a NaN or infinite gap: stop; a non-finite
+            # iterate then fails the sweep's finite check.
+            if not picard_tol <= gap < np.inf:
                 break
         return current, {"condition": condition, "picard_iterations": iterations,
                          "picard_gap": gap}

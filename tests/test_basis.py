@@ -324,3 +324,69 @@ def test_gaussian_moments_against_closed_forms():
     mu = gaussian_moments(np.array(m), np.array(s), 4)
     assert mu[4] == pytest.approx(m**4 + 6 * m**2 * s**2 + 3 * s**4, rel=1e-14)
     assert mu[3] == pytest.approx(m**3 + 3 * m * s**2, rel=1e-14)
+
+
+# ------------------------------------- exact conditional expectations
+
+
+def exact_moments(m, s, dm, ds, degree):
+    """E[U^d] and d/dx E[U^d], d = 0..degree, for U = m + s*G, in exact
+    arithmetic; dm and ds are the x-derivatives of m and s."""
+    mu, dmu = [Fraction(1), m], [Fraction(0), dm]
+    for d in range(2, degree + 1):
+        mu.append(m * mu[d - 1] + (d - 1) * s * s * mu[d - 2])
+        dmu.append(d * dm * mu[d - 1] + d * (d - 1) * s * ds * mu[d - 2])
+    return mu[:degree + 1], dmu[:degree + 1]
+
+
+# One Euler step of length 1/4 (sqrt = 1/2) from t_1 = 1/4 on a T=1, N=4
+# grid.  With x0 = 2 the scaled transition is exact in binary: hermite
+# scales by sqrt(t_1) = 1/2 around 2, laguerre and monomial by 2 around 0.
+# Each entry: the problem, and x -> (b(x), sigma(x), b'(x), sigma'(x)) exactly.
+EXACT_PROBLEMS = {
+    "brownian": (ProblemCatalogEntry.with_defaults("custom", b0=0.75, s0=1.5, x0=2.0),
+                 lambda x: (Fraction(3, 4), Fraction(3, 2), Fraction(0), Fraction(0))),
+    "gbm": (ProblemCatalogEntry.with_defaults("call", S0=2.0, mu=0.5, sigma=0.25),
+            lambda x: (x / 2, x / 4, Fraction(1, 2), Fraction(1, 4))),
+}
+EXACT_X = (-2.75, -0.5, 0.0, 0.25, 1.75, 2.0, 3.5)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PROBLEMS))
+@pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
+@pytest.mark.parametrize("k", [1, 2, 6, 12, 31])
+def test_cond_exp_matches_exact_rational_moments(name, family, k):
+    entry, coefficients = EXACT_PROBLEMS[name]
+    basis = BasisSet(family, k, make_problem(entry), make_uniform_grid(1.0, 4))
+    shift, scale = (Fraction(2), Fraction(1, 2)) if family == "hermite" else (0, Fraction(2))
+    dt = Fraction(1, 4)
+    rows = closed_form_rows(family, k)
+
+    # The monomial table: Taylor coefficients of the family polynomials,
+    # exactly rounded at low degree and within a few ulps above.
+    exact_table = np.array([[float(row[d]) if d < len(row) else 0.0 for d in range(k)]
+                            for row in rows])
+    if k <= 6:
+        np.testing.assert_array_equal(basis._table, exact_table)
+    ulps = np.abs(basis._table - exact_table) / np.spacing(np.abs(exact_table))
+    assert np.all(ulps <= 8)
+
+    x = np.array(EXACT_X)
+    values, grads = basis.cond_exp(1, x), basis.cond_exp_grad(1, x)
+    assert values.shape == grads.shape == (x.size, k)
+    eps = np.finfo(float).eps
+    for n, xf in enumerate(EXACT_X):
+        q = Fraction(xf)
+        b, sigma, b_x, sigma_x = coefficients(q)
+        m, s = (q + dt * b - shift) / scale, sigma * Fraction(1, 2) / scale
+        dm, ds = (1 + dt * b_x) / scale, sigma_x * Fraction(1, 2) / scale
+        mu, dmu = exact_moments(m, s, dm, ds, k - 1)
+        # the same sums with every term made positive: the rounding scale
+        bar, dbar = exact_moments(abs(m), abs(s), abs(dm), abs(ds), k - 1)
+        for j, row in enumerate(rows):
+            value = sum(c * mu[d] for d, c in enumerate(row))
+            slope = sum(c * dmu[d] for d, c in enumerate(row))
+            size = float(sum(abs(c) * bar[d] for d, c in enumerate(row)))
+            dsize = float(sum(abs(c) * dbar[d] for d, c in enumerate(row)))
+            assert abs(values[n, j] - float(value)) <= 16 * eps * size
+            assert abs(grads[n, j] - float(slope)) <= 16 * eps * dsize

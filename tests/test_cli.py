@@ -331,3 +331,13 @@ def test_any_overrides_end_in_a_documented_exit_code(overrides):
             results[route] = (code, out.read_bytes() if code == 0 else None)
         # the three routes reach build_config with the same mapping
         assert results["flags"] == results["overrides"] == results["config"]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-inf"])
+def test_flag_value_starting_with_dash_reaches_build_config(tmp_path, capsys, value):
+    out = tmp_path / "rows.csv"
+    code = main(["solve", "--paths", "200", "--steps", "2", "--ridge", value,
+                 "--out", str(out)])
+    assert code == 2
+    assert "config error: key 'ridge'" in capsys.readouterr().err
+    assert not out.exists()

@@ -401,3 +401,26 @@ def test_nan_driver_stops_picard_at_first_iteration():
     with pytest.raises(NumericalError, match="fitted values at step 9$"):
         solve_regress_now(problem, GRID, basis, ens, picard_iters=50)
     assert calls == [GRID.times[9]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_infinite_gap_stops_picard():
+    # an overflowing proposal gives an infinite gap: no further iterations
+    base = linear_brownian()
+    calls = []
+
+    def overflowing_driver(t, x, y, z):
+        calls.append(t)
+        return -1e308 * y
+
+    problem = FbsdeProblem(
+        drift=base.drift, diffusion=base.diffusion, driver=overflowing_driver,
+        terminal=lambda x: x + 3.0, terminal_gradient=base.terminal_gradient,
+        initial_state=0.0, horizon=1.0,
+        drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
+    grid = make_uniform_grid(1.0, 4)
+    basis = BasisSet("hermite", 3, problem, grid)
+    ens = simulate_paths(problem, grid, 500, seed=2)
+    with pytest.raises(NumericalError):
+        solve_regress_now(problem, grid, basis, ens, picard_iters=50)
+    assert len(calls) <= 3
