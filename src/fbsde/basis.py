@@ -24,7 +24,6 @@ the Taylor coefficients at u = 0.
 from __future__ import annotations
 
 from math import factorial
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "BASIS_FAMILIES",
     "MAX_DEGREE",
     "gaussian_moments",
-    "gaussian_poly_expectation",
 ]
 
 BASIS_FAMILIES = ("laguerre", "hermite", "monomial")
@@ -76,14 +74,6 @@ def gaussian_moments(mean: np.ndarray, std: np.ndarray, max_degree: int) -> np.n
     for d in range(2, max_degree + 1):
         mu[d] = mean * mu[d - 1] + (d - 1) * var * mu[d - 2]
     return mu
-
-
-def gaussian_poly_expectation(coeffs: Sequence[float], mean, std) -> np.ndarray:
-    """E[p(mean + std*G)] for the polynomial p given by monomial coeffs
-    (ascending degree)."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    mu = gaussian_moments(mean, std, c.size - 1)
-    return np.tensordot(c, mu, axes=(0, 0))
 
 
 class BasisSet:
@@ -236,8 +226,10 @@ class BasisSet:
         t = self.grid.times[i]
         dt = self.grid.deltas[i]
         m, s = self._transition(i, xv)
-        dm = (1.0 + dt * self.problem.drift_x(t, xv)) / self._scale[i]
-        ds = self.problem.diffusion_x(t, xv) * np.sqrt(dt) / self._scale[i]
+        b_x = np.asarray(self.problem.drift_dx(t, xv), dtype=np.float64)
+        sigma_x = np.asarray(self.problem.diffusion_dx(t, xv), dtype=np.float64)
+        dm = (1.0 + dt * b_x) / self._scale[i]
+        ds = sigma_x * np.sqrt(dt) / self._scale[i]
 
         first = self._differentiate(self._expectations(m, s))
         second = self._differentiate(first.copy())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
 
 # Driver of the arctan problem clamps its z argument away from the tan poles.
 Z_CLAMP = math.pi / 2 - 1e-9
-
-_EPS = np.finfo(np.float64).eps
 
 
 class TimeGrid:
@@ -89,15 +87,16 @@ class FbsdeProblem:
     """Coefficient bundle of one decoupled forward-backward equation.
 
     The coefficient callables must be vectorized and elementwise in the
-    state: ``drift(t, x)`` and ``diffusion(t, x)`` take a scalar time and
-    an array of states, ``driver(t, x, y, z)`` additionally the current
-    value/control arrays, ``terminal(x)`` and ``terminal_gradient(x)`` map
-    terminal states to payoff values and their a.e. derivative.
+    state.  Each receives a float time ``t`` and float64 ndarrays:
+    ``drift(t, x)`` and ``diffusion(t, x)`` the states, ``driver(t, x, y, z)``
+    additionally the current value/control arrays, ``terminal(x)`` and
+    ``terminal_gradient(x)`` the terminal states, mapped to payoff values
+    and their a.e. derivative.  Results are read as float64 arrays of
+    x's shape.
 
     ``drift_dx`` / ``diffusion_dx`` are the spatial derivatives of the
-    forward coefficients; they feed the analytic differentiation of the
-    one-step conditional expectations.  When omitted they are replaced by
-    central finite differences.
+    forward coefficients, with the signature of ``drift``; they feed the
+    analytic differentiation of the one-step conditional expectations.
     """
 
     drift: Callable
@@ -107,30 +106,12 @@ class FbsdeProblem:
     terminal_gradient: Callable
     initial_state: float
     horizon: float
-    drift_dx: Optional[Callable] = None
-    diffusion_dx: Optional[Callable] = None
+    drift_dx: Callable
+    diffusion_dx: Callable
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-    def drift_x(self, t: float, x: np.ndarray) -> np.ndarray:
-        """d(drift)/dx, analytic when supplied, else central differences."""
-        if self.drift_dx is not None:
-            return np.asarray(self.drift_dx(t, x), dtype=np.float64)
-        return _central_diff(lambda v: self.drift(t, v), x)
-
-    def diffusion_x(self, t: float, x: np.ndarray) -> np.ndarray:
-        """d(diffusion)/dx, analytic when supplied, else central differences."""
-        if self.diffusion_dx is not None:
-            return np.asarray(self.diffusion_dx(t, x), dtype=np.float64)
-        return _central_diff(lambda v: self.diffusion(t, v), x)
-
-
-def _central_diff(func, x):
-    x = np.asarray(x, dtype=np.float64)
-    h = _EPS ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
-    return (func(x + h) - func(x - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -213,75 +194,59 @@ def _pricing_problem(kind: str, S0: float, K: float, r: float, mu: float,
                      sigma: float, T: float) -> FbsdeProblem:
     theta = (mu - r) / sigma
 
-    def drift(t, x):
-        return mu * np.asarray(x, dtype=np.float64)
-
-    def diffusion(t, x):
-        return sigma * np.asarray(x, dtype=np.float64)
-
-    def driver(t, x, y, z):
-        return -(r * np.asarray(y, dtype=np.float64) + theta * np.asarray(z, dtype=np.float64))
-
     if kind == "call":
         def terminal(x):
-            return np.maximum(np.asarray(x, dtype=np.float64) - K, 0.0)
+            return np.maximum(x - K, 0.0)
 
         def terminal_gradient(x):
-            return np.where(np.asarray(x, dtype=np.float64) > K, 1.0, 0.0)
+            return np.where(x > K, 1.0, 0.0)
     else:
         def terminal(x):
-            return np.maximum(K - np.asarray(x, dtype=np.float64), 0.0)
+            return np.maximum(K - x, 0.0)
 
         def terminal_gradient(x):
-            return np.where(np.asarray(x, dtype=np.float64) < K, -1.0, 0.0)
+            return np.where(x < K, -1.0, 0.0)
 
     return FbsdeProblem(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        drift=lambda t, x: mu * x,
+        diffusion=lambda t, x: sigma * x,
+        driver=lambda t, x, y, z: -(r * y + theta * z),
         terminal=terminal,
         terminal_gradient=terminal_gradient,
         initial_state=S0,
         horizon=T,
-        drift_dx=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), mu),
-        diffusion_dx=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), sigma),
+        drift_dx=lambda t, x: np.full_like(x, mu),
+        diffusion_dx=lambda t, x: np.full_like(x, sigma),
     )
 
 
 def _arctan_problem(T: float) -> FbsdeProblem:
     def driver(t, x, y, z):
-        zc = np.clip(np.asarray(z, dtype=np.float64), -Z_CLAMP, Z_CLAMP)
+        zc = np.clip(z, -Z_CLAMP, Z_CLAMP)
         return -1.0 / (2.0 * (1.0 + np.tan(zc) ** 2))
 
-    def terminal(x):
-        x = np.asarray(x, dtype=np.float64)
-        return x * np.arctan(x) - 0.5 * np.log1p(x * x)
-
     return FbsdeProblem(
-        drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        diffusion=lambda t, x: np.ones_like(np.asarray(x, dtype=np.float64)),
+        drift=lambda t, x: np.zeros_like(x),
+        diffusion=lambda t, x: np.ones_like(x),
         driver=driver,
-        terminal=terminal,
-        terminal_gradient=lambda x: np.arctan(np.asarray(x, dtype=np.float64)),
+        terminal=lambda x: x * np.arctan(x) - 0.5 * np.log1p(x * x),
+        terminal_gradient=np.arctan,
         initial_state=0.0,
         horizon=T,
-        drift_dx=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        diffusion_dx=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        drift_dx=lambda t, x: np.zeros_like(x),
+        diffusion_dx=lambda t, x: np.zeros_like(x),
     )
 
 
 def _linear_brownian_problem(b0: float, s0: float, x0: float, T: float) -> FbsdeProblem:
-    def _zeros(x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
     return FbsdeProblem(
-        drift=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), b0),
-        diffusion=lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), s0),
-        driver=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        terminal=lambda x: np.asarray(x, dtype=np.float64).copy(),
-        terminal_gradient=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
+        drift=lambda t, x: np.full_like(x, b0),
+        diffusion=lambda t, x: np.full_like(x, s0),
+        driver=lambda t, x, y, z: np.zeros_like(y),
+        terminal=lambda x: x.copy(),
+        terminal_gradient=np.ones_like,
         initial_state=x0,
         horizon=T,
-        drift_dx=lambda t, x: _zeros(x),
-        diffusion_dx=lambda t, x: _zeros(x),
+        drift_dx=lambda t, x: np.zeros_like(x),
+        diffusion_dx=lambda t, x: np.zeros_like(x),
     )

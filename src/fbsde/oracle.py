@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, ProblemCatalogEntry, TimeGrid
-from .simulate import counter_normals
+from .simulate import _validate_seed, counter_normals
 
 __all__ = [
     "ReferenceValue",
@@ -40,9 +40,6 @@ class NestedEstimate:
 
     y0: float
     standard_error: float
-
-    def __float__(self) -> float:
-        return self.y0
 
 
 def norm_cdf(x: float) -> float:
@@ -132,8 +129,7 @@ def nested_mc_y0(
     """
     if outer < 2 or inner < 2:
         raise ValueError("outer and inner sample counts must be at least 2")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = _validate_seed(seed)
     N = grid.n_steps
     leaves = outer * inner ** max(N - 1, 0)
     if leaves > node_budget:

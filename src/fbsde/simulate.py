@@ -56,10 +56,6 @@ class PathEnsemble:
     grid: TimeGrid
     seed: int
 
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
 
 def _philox_key(seed: int, stream: int = 0) -> np.ndarray:
     return np.array([seed, stream], dtype=np.uint64)

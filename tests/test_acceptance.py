@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fbsde.basis import BasisSet, gaussian_poly_expectation
+from fbsde.basis import BasisSet, gaussian_moments
 from fbsde.cli import main
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.oracle import black_scholes, nested_mc_y0
@@ -25,6 +25,12 @@ CALL_TARGET_Y0, CALL_TARGET_Z0 = 1.3886, 1.39
 PUT_TARGET_Y0, PUT_TARGET_Z0 = 0.39, -0.60
 
 CALL_REF = black_scholes("call", 100.0, 100.0, 0.01, 0.02, 1.0)
+
+
+def gaussian_poly_expectation(coeffs, mean, std):
+    """E[p(mean + std*G)] for the monomial coefficients of p (ascending)."""
+    mu = gaussian_moments(mean, std, len(coeffs) - 1)
+    return np.tensordot(np.asarray(coeffs, dtype=np.float64), mu, axes=(0, 0))
 
 
 def report(number: int, ok: bool, detail: str) -> None:

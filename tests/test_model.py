@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fbsde.model import (CATALOG_DEFAULTS, ProblemCatalogEntry, TimeGrid,
-                         make_problem, make_uniform_grid)
+from fbsde.model import (CATALOG_DEFAULTS, FbsdeProblem, ProblemCatalogEntry,
+                         TimeGrid, make_problem, make_uniform_grid)
 
 
 def entry(name, **overrides):
@@ -103,6 +103,17 @@ def test_custom_problem_is_linear_brownian():
     np.testing.assert_array_equal(problem.terminal(x), x)
     with pytest.raises(ValueError):
         make_problem(entry("custom", s0=0.0))
+
+
+def test_problem_requires_coefficient_derivatives():
+    base = make_problem(entry("call"))
+    fields = dict(drift=base.drift, diffusion=base.diffusion, driver=base.driver,
+                  terminal=base.terminal, terminal_gradient=base.terminal_gradient,
+                  initial_state=base.initial_state, horizon=base.horizon)
+    with pytest.raises(TypeError, match="drift_dx"):
+        FbsdeProblem(**fields)
+    with pytest.raises(TypeError, match="diffusion_dx"):
+        FbsdeProblem(**fields, drift_dx=base.drift_dx)
 
 
 # ------------------------------------------------------- model invariants

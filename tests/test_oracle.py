@@ -130,7 +130,6 @@ def test_nested_mc_martingale_mean_zero():
     grid = make_uniform_grid(1.0, 2)
     est = nested_mc_y0(problem, grid, outer=4000, inner=200, seed=3)
     assert abs(est.y0) <= 4 * est.standard_error
-    assert float(est) == est.y0
 
 
 def test_nested_mc_second_moment():

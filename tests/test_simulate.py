@@ -10,7 +10,8 @@ def constant_problem(x0=7.0):
     return FbsdeProblem(drift=zero, diffusion=zero,
                         driver=lambda t, x, y, z: np.zeros_like(y),
                         terminal=lambda x: x, terminal_gradient=lambda x: np.ones_like(x),
-                        initial_state=x0, horizon=1.0)
+                        initial_state=x0, horizon=1.0,
+                        drift_dx=zero, diffusion_dx=zero)
 
 
 def gbm_problem(mu=0.01, sigma=0.02, x0=100.0):
