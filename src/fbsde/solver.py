@@ -117,8 +117,8 @@ def solve_regress_later(
     onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
     pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
     the fitted value at t_i through the exact conditional expectation.
-    The initial pair is read off the step-0 fit:
-    y0 = (alpha + beta*delta_0) . cond_exp(0, x0) and
+    The initial pair is read off the step-0 fit: y0 is the step-0 value,
+    (alpha + beta*delta_0) . cond_exp(0, x0), which every path shares, and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
     """
     times, deltas, states = grid.times, grid.deltas, paths.states
@@ -150,8 +150,7 @@ def solve_regress_later(
         x0 = problem.initial_state
         weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
         sigma0 = np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0]
-        y0 = float(basis.cond_exp(0, x0) @ weights)
-        return y0, float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
+        return float(y[0]), float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
 
     return _sweep("later", problem, grid, basis, paths, step, initial)
 

@@ -117,6 +117,15 @@ def test_repeated_solve_is_bit_identical():
     assert n1.y0 == n2.y0 and n1.z0 == n2.z0
 
 
+def test_y0_is_the_sweeps_step_zero_value():
+    # every path starts at x0, so the step-0 values are one number, and y0
+    # is that number, not a re-evaluation at x0 through another code path
+    problem = make_problem(ProblemCatalogEntry.with_defaults("put"))
+    grid = make_uniform_grid(1.0, 20)
+    for result in solve_both(problem, grid, "laguerre", 6, 1000, seed=1):
+        assert abs(result.y0) == result.diagnostics["max_abs_y"][0], result.scheme
+
+
 def test_error_median_nonincreasing_in_steps():
     # empirical convergence-scaling trend at large M: finer partitions do
     # not worsen the median y0 error (N = 16 added to the acceptance range)
@@ -133,6 +142,26 @@ def test_error_median_nonincreasing_in_steps():
             errs.append(abs(res.y0 - ref.y0_ref))
         medians.append(float(np.median(errs)))
     assert all(a >= b for a, b in zip(medians, medians[1:])), medians
+
+
+def test_later_bias_is_first_order_when_z_drives_y():
+    # mu != r gives theta = 0.2, so Z enters the driver; the y0 bias of the
+    # Euler scheme should halve with each doubling of N
+    ref = black_scholes("call", 100.0, 100.0, 0.01, 0.2, 1.0)
+    problem = call_problem(mu=0.05, sigma=0.2)
+    biases, errors = [], []
+    for n_steps in (5, 10, 20):
+        grid = make_uniform_grid(1.0, n_steps)
+        basis = BasisSet("laguerre", 6, problem, grid)
+        errs = [solve_regress_later(problem, grid, basis,
+                                    simulate_paths(problem, grid, 30_000, seed)).y0
+                - ref.y0_ref for seed in range(1, 9)]
+        biases.append(float(np.mean(errs)))
+        errors.append(float(np.std(errs, ddof=1) / np.sqrt(len(errs))))
+    for j in range(2):
+        # the seed panel resolves each gap, and each doubling shrinks the bias
+        assert 3 * max(errors[j], errors[j + 1]) < abs(biases[j] - biases[j + 1]), errors
+        assert 1.5 <= biases[j] / biases[j + 1] <= 3.0, biases
 
 
 # ----------------------------------------------------------- now scheme
