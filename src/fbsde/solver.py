@@ -68,12 +68,13 @@ def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
         raise NumericalError(f"non-finite {what} at step {step}")
 
 
-def _sweep(scheme, problem, grid, basis, paths, step, initial) -> SolverResult:
+def _sweep(scheme, problem, grid, basis, paths, step, initial_z) -> SolverResult:
     """Shared backward sweep.
 
     ``step(i, y)`` maps the pathwise values at t_{i+1} to those at t_i and
-    returns them with the step's diagnostic fields; ``initial(y, diagnostics)``
-    reads (y0, z0) off the step-0 outcome.
+    returns them with the step's diagnostic fields; ``initial_z(diagnostics)``
+    reads z0 off the step-0 outcome.  y0 is the step-0 value, which every
+    path shares, since all start at x0.
     """
     started = time.perf_counter()
     if paths.grid != grid:
@@ -96,7 +97,7 @@ def _sweep(scheme, problem, grid, basis, paths, step, initial) -> SolverResult:
         for name, value in record.items():
             diagnostics.setdefault(name, [None] * N)[i] = value
 
-    y0, z0 = initial(y, diagnostics)
+    y0, z0 = float(y[0]), initial_z(diagnostics)
     if not (np.isfinite(y0) and np.isfinite(z0)):
         raise NumericalError("non-finite initial values at step 0")
     return SolverResult(y0=y0, z0=z0, scheme=scheme,
@@ -117,8 +118,8 @@ def solve_regress_later(
     onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
     pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
     the fitted value at t_i through the exact conditional expectation.
-    The initial pair is read off the step-0 fit: y0 is the step-0 value,
-    (alpha + beta*delta_0) . cond_exp(0, x0), which every path shares, and
+    The initial pair is read off the step-0 fit:
+    y0 = (alpha + beta*delta_0) . cond_exp(0, x0) and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
     """
     times, deltas, states = grid.times, grid.deltas, paths.states
@@ -146,13 +147,13 @@ def solve_regress_later(
         y = basis.cond_exp(i, states[:, i]) @ weights
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
-    def initial(y, diagnostics):
+    def initial_z(diagnostics):
         x0 = problem.initial_state
         weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
         sigma0 = np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0]
-        return float(y[0]), float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
+        return float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
 
-    return _sweep("later", problem, grid, basis, paths, step, initial)
+    return _sweep("later", problem, grid, basis, paths, step, initial_z)
 
 
 def solve_regress_now(
@@ -214,7 +215,4 @@ def solve_regress_now(
         return current, {"condition": condition, "picard_iterations": iterations,
                          "picard_gap": gap}
 
-    def initial(y, diagnostics):
-        return float(y[0]), z0
-
-    return _sweep("now", problem, grid, basis, paths, step, initial)
+    return _sweep("now", problem, grid, basis, paths, step, lambda diagnostics: z0)

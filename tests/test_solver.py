@@ -118,8 +118,8 @@ def test_repeated_solve_is_bit_identical():
 
 
 def test_y0_is_the_sweeps_step_zero_value():
-    # every path starts at x0, so the step-0 values are one number, and y0
-    # is that number, not a re-evaluation at x0 through another code path
+    # every path starts at x0, so the step-0 values are one number; y0 must
+    # be that number bit for bit, for both schemes
     problem = make_problem(ProblemCatalogEntry.with_defaults("put"))
     grid = make_uniform_grid(1.0, 20)
     for result in solve_both(problem, grid, "laguerre", 6, 1000, seed=1):
