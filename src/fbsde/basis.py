@@ -19,6 +19,12 @@ Each family is one three-term recurrence for the values and one derivative
 rule p'_{n+1} = d_n p'_n + e_n p_n.  The rule has constant coefficients, so
 it also maps E[p_n(U)] to E[p'_n(U)], and it gives the monomial table as
 the Taylor coefficients at u = 0.
+
+The regression-later sweep needs only one combination sum_j w_j e_j at a
+time.  The ``*_dot`` operations fold w into Taylor coefficients about the
+scaled start state of the step, using tables built once per basis, and
+evaluate that one polynomial (Horner's rule for the derivative, a running
+moment sum for the expectation) with no (M, k) matrix.
 """
 
 from __future__ import annotations
@@ -84,8 +90,13 @@ class BasisSet:
     conditional expectation E[e_i(X_{t_{i+1}}) | X_{t_i} = x] under the
     Euler transition of step i, and its x-derivative.
 
-    All operations accept a scalar state (returning shape (k,)) or a state
-    vector of shape (M,) (returning (M, k)).
+    ``grad_dot``/``cond_exp_dot``/``cond_exp_grad_dot`` give the same
+    quantities for one coefficient vector w, e.g. ``grad(i, x) @ w``.
+
+    All operations accept a scalar state (returning shape (k,), or a scalar
+    for the ``*_dot`` operations) or a state vector of shape (M,)
+    (returning (M, k), or (M,)).  They are elementwise in the states, so
+    the scalar and vector paths agree bit for bit.
     """
 
     def __init__(self, family: str, k: int, problem: FbsdeProblem, grid: TimeGrid) -> None:
@@ -103,7 +114,15 @@ class BasisSet:
         self.grid = grid
         self._coefficients = [_recurrence_coefficients(family, n) for n in range(k - 1)]
         self._shift, self._scale = self._scaling(family, problem, grid)
-        self._table = self._taylor_table()
+        self._table = self._taylor_table(0.0)
+        # The combination ops fold their coefficients about the scaled start
+        # state of each step; the steps share one table per distinct centre.
+        self._centre = ((problem.initial_state - self._shift) / self._scale).tolist()
+        tables = {0.0: self._table}
+        for centre in self._centre:
+            if centre not in tables:
+                tables[centre] = self._taylor_table(centre)
+        self._folds = [tables[centre] for centre in self._centre]
 
     @staticmethod
     def _scaling(family: str, problem: FbsdeProblem, grid: TimeGrid):
@@ -142,10 +161,11 @@ class BasisSet:
         s = np.asarray(self.problem.diffusion(t, x), dtype=np.float64) * np.sqrt(dt)
         return (m - self._shift[i]) / self._scale[i], s / self._scale[i]
 
-    def _polys(self, u: np.ndarray) -> np.ndarray:
-        """p_0..p_{k-1} at the scaled states u: one (k, M) buffer, returned
-        transposed, since a factorisation copies a column-major design straight."""
-        p = np.empty((self.k, u.size))
+    def _polys(self, u: np.ndarray, out=None) -> np.ndarray:
+        """p_0..p_{k-1} at the scaled states u: one (k, M) buffer (``out``, if
+        given), returned transposed, since a factorisation copies a
+        column-major design straight."""
+        p = np.empty((self.k, u.size)) if out is None else out
         p[0] = 1.0
         tmp = np.empty_like(u)
         for n, (a, b, c, _, _) in enumerate(self._coefficients):
@@ -173,24 +193,70 @@ class BasisSet:
             p, saved = saved, p
         return rows
 
-    def _taylor_table(self) -> np.ndarray:
-        """Entry (j, d) is p_j^(d)(0)/d!: row j holds the monomial coefficients of p_j."""
-        rows = self._polys(np.zeros(1)).T
+    def _taylor_table(self, centre: float) -> np.ndarray:
+        """Entry (j, d) is p_j^(d)(centre)/d!: row j holds the coefficients
+        of p_j in powers of u - centre."""
+        if self.family == "laguerre" and centre == 0.0:
+            # L_n(0) = 1 exactly; the float recurrence is a few ulps off at high n.
+            rows = np.ones((self.k, 1))
+        else:
+            rows = self._polys(np.array([centre])).T
         table = np.empty((self.k, self.k))
         for d in range(self.k):
             table[:, d] = rows[:, 0] / float(factorial(d))
             self._differentiate(rows)
         return table
 
+    def _fold(self, i: int, weights) -> np.ndarray:
+        """Taylor coefficients c_d of q = sum_j w_j p_j in powers of
+        u - centre_i, summed over j in a fixed order."""
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (self.k,):
+            raise ValueError(f"weights shape {w.shape} does not match basis size {self.k}")
+        return (w[:, None] * self._folds[i]).sum(axis=0)
+
+    @staticmethod
+    def _gaussian_sum(coefs: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+        """sum_d coefs[..., d] E[(mean + std*G)^d], running the moment
+        recurrence with an accumulator: elementwise in the states, so a
+        state's result does not depend on how many are passed.  A (k,)
+        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows."""
+        acc = np.empty(coefs.shape[:-1] + mean.shape)
+        acc[...] = coefs[..., 0, None] if coefs.shape[-1] else 0.0
+        if coefs.shape[-1] < 2:
+            return acc
+        tmp = np.empty_like(acc)
+        acc += np.multiply(coefs[..., 1, None], mean, out=tmp)
+        var = std * std
+        prev, cur, nxt = np.ones_like(mean), mean.copy(), np.empty_like(mean)
+        for d in range(2, coefs.shape[-1]):
+            # mu_d = mean * mu_{d-1} + (d-1) * var * mu_{d-2}
+            np.multiply(var, d - 1, out=nxt)
+            nxt *= prev
+            np.multiply(mean, cur, out=prev)
+            prev += nxt
+            prev, cur = cur, prev
+            acc += np.multiply(coefs[..., d, None], cur, out=tmp)
+        return acc
+
+    def _slopes(self, i: int, x: np.ndarray):
+        """x-derivatives of the scaled transition mean and std of step i."""
+        t = self.grid.times[i]
+        dt = self.grid.deltas[i]
+        b_x = np.asarray(self.problem.drift_dx(t, x), dtype=np.float64)
+        sigma_x = np.asarray(self.problem.diffusion_dx(t, x), dtype=np.float64)
+        return (1.0 + dt * b_x) / self._scale[i], sigma_x * np.sqrt(dt) / self._scale[i]
+
     # -- operations --------------------------------------------------------
 
-    def eval(self, i: int, x) -> np.ndarray:
+    def eval(self, i: int, x, out=None) -> np.ndarray:
         """Basis values e_i(x); component j is the degree-j polynomial of
-        the scaled state."""
+        the scaled state.  ``out`` is an optional (k, M) float64 buffer to
+        fill; the returned (M, k) array is then its transpose."""
         self._check_step(i)
         xv, scalar = self._as_vector(x)
-        out = self._polys((xv - self._shift[i]) / self._scale[i])
-        return out[0] if scalar else out
+        values = self._polys((xv - self._shift[i]) / self._scale[i], out)
+        return values[0] if scalar else values
 
     def grad(self, i: int, x) -> np.ndarray:
         """State derivative of eval, including the chain-rule scaling factor."""
@@ -201,16 +267,11 @@ class BasisSet:
         out = rows.T
         return out[0] if scalar else out
 
-    def _expectations(self, m: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """(k, M) rows E[p_j(m + s*G)]: moments times the Taylor table."""
-        mu = gaussian_moments(m, s, self.k - 1)          # (k, M)
-        return np.tensordot(self._table, mu, axes=(1, 0))
-
     def cond_exp(self, i: int, x) -> np.ndarray:
         """Exact E[e_i(X_{t_{i+1}}) | X_{t_i} = x] under the Euler transition."""
         self._check_step(i)
         xv, scalar = self._as_vector(x)
-        out = self._expectations(*self._transition(i, xv)).T
+        out = self._gaussian_sum(self._table, *self._transition(i, xv)).T
         return out[0] if scalar else out
 
     def cond_exp_grad(self, i: int, x) -> np.ndarray:
@@ -223,18 +284,55 @@ class BasisSet:
         """
         self._check_step(i)
         xv, scalar = self._as_vector(x)
-        t = self.grid.times[i]
-        dt = self.grid.deltas[i]
         m, s = self._transition(i, xv)
-        b_x = np.asarray(self.problem.drift_dx(t, xv), dtype=np.float64)
-        sigma_x = np.asarray(self.problem.diffusion_dx(t, xv), dtype=np.float64)
-        dm = (1.0 + dt * b_x) / self._scale[i]
-        ds = sigma_x * np.sqrt(dt) / self._scale[i]
-
-        first = self._differentiate(self._expectations(m, s))
+        dm, ds = self._slopes(i, xv)
+        first = self._differentiate(self._gaussian_sum(self._table, m, s))
         second = self._differentiate(first.copy())
         first *= dm
         second *= s * ds
         first += second
         out = first.T
         return out[0] if scalar else out
+
+    # -- operations on one combination q = sum_j w_j p_j ---------------------
+
+    def grad_dot(self, i: int, x, weights) -> np.ndarray:
+        """grad(i, x) @ weights: q'(u) by Horner's rule in u - centre."""
+        self._check_step(i)
+        xv, scalar = self._as_vector(x)
+        c = self._fold(i, weights)
+        v = xv - self._shift[i]
+        v /= self._scale[i]
+        v -= self._centre[i]
+        out = np.full_like(v, (self.k - 1) * c[-1])
+        for d in range(self.k - 2, 0, -1):
+            out *= v
+            out += d * c[d]
+        out /= self._scale[i]
+        return out[0] if scalar else out
+
+    def cond_exp_dot(self, i: int, x, weights) -> np.ndarray:
+        """cond_exp(i, x) @ weights: E[q(U)] from the moments of U - centre."""
+        self._check_step(i)
+        xv, scalar = self._as_vector(x)
+        m, s = self._transition(i, xv)
+        m -= self._centre[i]
+        out = self._gaussian_sum(self._fold(i, weights), m, s)
+        return out[0] if scalar else out
+
+    def cond_exp_grad_dot(self, i: int, x, weights) -> np.ndarray:
+        """cond_exp_grad(i, x) @ weights: m'' E[q'(U)] + s' s'' E[q''(U)],
+        by the integration by parts of cond_exp_grad."""
+        self._check_step(i)
+        xv, scalar = self._as_vector(x)
+        m, s = self._transition(i, xv)
+        m -= self._centre[i]
+        dm, ds = self._slopes(i, xv)
+        c = self._fold(i, weights)
+        d = np.arange(self.k, dtype=np.float64)
+        first = self._gaussian_sum(d[1:] * c[1:], m, s)
+        second = self._gaussian_sum(d[2:] * d[1:-1] * c[2:], m, s)
+        first *= dm
+        second *= s * ds
+        first += second
+        return first[0] if scalar else first

@@ -118,40 +118,43 @@ def solve_regress_later(
     onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
     pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
     the fitted value at t_i through the exact conditional expectation.
+    Only one combination of the basis is needed at a time, so Z and the
+    expectation come from the basis operations on coefficient vectors
+    (``grad_dot``, ``cond_exp_dot``), and every step's design is written
+    into one (k, M) buffer: no other (M, k) array is formed.
     The initial pair is read off the step-0 fit:
-    y0 = (alpha + beta*delta_0) . cond_exp(0, x0) and
+    y0 = (alpha + beta*delta_0) . cond_exp(0, x0), the step-0 value, and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
     """
     times, deltas, states = grid.times, grid.deltas, paths.states
+    design_rows = np.empty((basis.k, states.shape[0]))
 
     def step(i, target):
         x_next = states[:, i + 1]
-        design = basis.eval(i, x_next)
+        design = basis.eval(i, x_next, out=design_rows)
         _require_finite(design, i, "basis values")
         fit = FactoredDesign(design, ridge=ridge)
-        del design  # fit keeps its own copy; the step's peak drops by one (M, k) array
         alpha = fit.solve(target)
 
-        z_next = (basis.grad(i, x_next) @ alpha) * problem.diffusion(times[i + 1], x_next)
+        z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(
             problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
         )
         _require_finite(f_next, i, "driver values")
         beta = fit.solve(f_next)
         condition = fit.condition
-        # Free the reflectors and pathwise fields before cond_exp allocates
-        # its (k, M) moments: this keeps the sweep's peak memory down.
+        # Free the reflectors and pathwise fields before cond_exp_dot
+        # allocates its moment buffers: this keeps the sweep's peak down.
         del fit, f_next, z_next
 
-        weights = alpha + deltas[i] * beta
-        y = basis.cond_exp(i, states[:, i]) @ weights
+        y = basis.cond_exp_dot(i, states[:, i], alpha + deltas[i] * beta)
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
     def initial_z(diagnostics):
         x0 = problem.initial_state
         weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
         sigma0 = np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0]
-        return float(sigma0) * float(basis.cond_exp_grad(0, x0) @ weights)
+        return float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights))
 
     return _sweep("later", problem, grid, basis, paths, step, initial_z)
 

@@ -354,13 +354,14 @@ def test_cond_exp_matches_exact_rational_moments(name, family, k):
     rows = closed_form_rows(family, k)
 
     # The monomial table: Taylor coefficients of the family polynomials,
-    # exactly rounded at low degree and within a few ulps above.
+    # exactly rounded at low degree and within a few ulps above (one for
+    # Laguerre, whose table starts from the exact L_n(0) = 1).
     exact_table = np.array([[float(row[d]) if d < len(row) else 0.0 for d in range(k)]
                             for row in rows])
     if k <= 6:
         np.testing.assert_array_equal(basis._table, exact_table)
     ulps = np.abs(basis._table - exact_table) / np.spacing(np.abs(exact_table))
-    assert np.all(ulps <= 8)
+    assert np.all(ulps <= (1 if family == "laguerre" else 8))
 
     x = np.array(EXACT_X)
     values, grads = basis.cond_exp(1, x), basis.cond_exp_grad(1, x)
@@ -381,3 +382,90 @@ def test_cond_exp_matches_exact_rational_moments(name, family, k):
             dsize = float(sum(abs(c) * dbar[d] for d, c in enumerate(row)))
             assert abs(values[n, j] - float(value)) <= 16 * eps * size
             assert abs(grads[n, j] - float(slope)) <= 16 * eps * dsize
+
+
+# --------------------------------------------- operations on combinations
+
+
+def shifted_rows(rows, k, centre):
+    """Exact coefficients of each row's polynomial in powers of u - centre."""
+    return [[sum(row[e] * comb(e, d) * centre ** (e - d) for e in range(d, len(row)))
+             for d in range(k)] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PROBLEMS))
+@pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
+@pytest.mark.parametrize("k", [1, 2, 6, 12, 31])
+def test_combination_ops_match_exact_values(name, family, k):
+    # grad_dot, cond_exp_dot and cond_exp_grad_dot against exact rational
+    # values of one fixed combination, at the states whose step-1 scaled
+    # value is RATIONAL_U.  The rounding scale is the sum of |terms| of the
+    # folded form the ops evaluate: |w_j| |Taylor coefficient about the
+    # centre| times the powers (or moments) of |u - centre|.
+    entry, coefficients = EXACT_PROBLEMS[name]
+    basis = BasisSet(family, k, make_problem(entry), make_uniform_grid(1.0, 4))
+    shift, scale = (Fraction(2), Fraction(1, 2)) if family == "hermite" else (0, Fraction(2))
+    centre = Fraction(basis._centre[1])
+    dt = Fraction(1, 4)
+    rows = closed_form_rows(family, k)
+    folded = shifted_rows(rows, k, centre)
+    w = np.random.default_rng(k).standard_normal(k)
+    wq = [Fraction(v) for v in w]
+
+    x = np.array([float(shift + scale * Fraction(u)) for u in RATIONAL_U])
+    slopes = basis.grad_dot(1, x, w)
+    values, grads = basis.cond_exp_dot(1, x, w), basis.cond_exp_grad_dot(1, x, w)
+    assert slopes.shape == values.shape == grads.shape == (x.size,)
+    eps = np.finfo(float).eps
+    for n, xf in enumerate(x):
+        q = Fraction(xf)
+        u = (q - shift) / scale
+        slope = sum(wj * sum(d * c * u ** (d - 1) for d, c in enumerate(row) if d)
+                    for wj, row in zip(wq, rows)) / scale
+        dsize = sum(abs(wj) * sum(d * abs(c) * abs(u - centre) ** (d - 1)
+                                  for d, c in enumerate(row) if d)
+                    for wj, row in zip(wq, folded)) / scale
+        assert abs(slopes[n] - float(slope)) <= 16 * eps * float(dsize)
+
+        b, sigma, b_x, sigma_x = coefficients(q)
+        m, s = (q + dt * b - shift) / scale, sigma * Fraction(1, 2) / scale
+        dm, ds = (1 + dt * b_x) / scale, sigma_x * Fraction(1, 2) / scale
+        mu, dmu = exact_moments(m, s, dm, ds, k - 1)
+        bar, dbar = exact_moments(abs(m - centre), abs(s), abs(dm), abs(ds), k - 1)
+        value = sum(wj * sum(c * mu[d] for d, c in enumerate(row)) for wj, row in zip(wq, rows))
+        slope = sum(wj * sum(c * dmu[d] for d, c in enumerate(row)) for wj, row in zip(wq, rows))
+        size = sum(abs(wj) * sum(abs(c) * bar[d] for d, c in enumerate(row))
+                   for wj, row in zip(wq, folded))
+        dsize = sum(abs(wj) * sum(abs(c) * dbar[d] for d, c in enumerate(row))
+                    for wj, row in zip(wq, folded))
+        assert abs(values[n] - float(value)) <= 16 * eps * float(size)
+        assert abs(grads[n] - float(slope)) <= 16 * eps * float(dsize)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
+def test_scalar_and_vector_paths_agree_bitwise(family):
+    # Every op is elementwise in the states, so a state's result does not
+    # depend on how many states are passed with it.
+    entry, _ = EXACT_PROBLEMS["brownian"]
+    grid = make_uniform_grid(1.0, 4)
+    basis = BasisSet(family, 6, make_problem(entry), grid)
+    w = np.array([0.5, -2.0, 1.25, 3.0, -0.75, 0.125])
+    ops = {"eval": basis.eval, "grad": basis.grad, "cond_exp": basis.cond_exp,
+           "cond_exp_grad": basis.cond_exp_grad,
+           "grad_dot": lambda i, x: basis.grad_dot(i, x, w),
+           "cond_exp_dot": lambda i, x: basis.cond_exp_dot(i, x, w),
+           "cond_exp_grad_dot": lambda i, x: basis.cond_exp_grad_dot(i, x, w)}
+    x = np.array([2.0, -0.5, 0.25, 1.75, 3.5, -2.75, 5.0])
+    for i in range(grid.n_steps):
+        for name, op in ops.items():
+            together = op(i, x)
+            for n, xn in enumerate(x):
+                np.testing.assert_array_equal(op(i, float(xn)), together[n], err_msg=name)
+
+
+def test_combination_ops_reject_mismatched_weights():
+    basis = BasisSet("laguerre", 4, gbm_problem(), GRID)
+    with pytest.raises(ValueError):
+        basis.grad_dot(0, 100.0, np.ones(3))
+    with pytest.raises(IndexError):
+        basis.cond_exp_dot(GRID.n_steps, 100.0, np.ones(4))

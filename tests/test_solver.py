@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,52 @@ def test_later_bias_is_first_order_when_z_drives_y():
         # the seed panel resolves each gap, and each doubling shrinks the bias
         assert 3 * max(errors[j], errors[j + 1]) < abs(biases[j] - biases[j + 1]), errors
         assert 1.5 <= biases[j] / biases[j + 1] <= 3.0, biases
+
+
+def test_combination_ops_are_no_less_accurate_than_matrix_forms():
+    # The sweep's own weights (call, laguerre k=6, M=2e4, seed 102, |w| up
+    # to ~3e6): on 64 states per step, each op on the coefficient vector is
+    # at least as close to the exact rational value of the same combination
+    # as the matrix form times the vector.
+    problem = call_problem()
+    basis = BasisSet("laguerre", 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 20_000, seed=102)
+    result = solve_regress_later(problem, GRID, basis, ens)
+    # L_n(u) = sum_j (-1)^j C(n, j) u^j / j!, row n
+    rows = [[Fraction((-1) ** j * comb(n, j), factorial(j)) for j in range(n + 1)]
+            for n in range(6)]
+
+    def exact(weights, powers):
+        return float(sum(Fraction(w) * sum(c * p for c, p in zip(row, powers))
+                         for w, row in zip(weights, rows)))
+
+    picks = np.linspace(0, 19_999, 64).astype(int)
+    worst = np.zeros((3, 2))  # (grad, cond_exp, cond_exp_grad) x (matrix, vector)
+    for i in range(GRID.n_steps):
+        alpha = result.diagnostics["alpha"][i]
+        weights = alpha + GRID.deltas[i] * result.diagnostics["beta"][i]
+        scale = Fraction(basis._scale[i])
+        x_next, x = ens.states[picks, i + 1], ens.states[picks, i]
+        got = [(basis.grad(i, x_next) @ alpha, basis.grad_dot(i, x_next, alpha)),
+               (basis.cond_exp(i, x) @ weights, basis.cond_exp_dot(i, x, weights)),
+               (basis.cond_exp_grad(i, x) @ weights, basis.cond_exp_grad_dot(i, x, weights))]
+        m, s = basis._transition(i, x)
+        dm, ds = basis._slopes(i, x)
+        for n in range(picks.size):
+            u = Fraction(x_next[n]) / scale
+            slopes = [d * u ** (d - 1) / scale if d else Fraction(0) for d in range(6)]
+            # E[U^d] and its x-derivative for U = m + s G at this state's
+            # (float) scaled transition, taken exactly
+            mn, sn, dmn, dsn = (Fraction(v[n]) for v in (m, s, dm, ds))
+            mu, dmu = [Fraction(1), mn], [Fraction(0), dmn]
+            for d in range(2, 6):
+                mu.append(mn * mu[d - 1] + (d - 1) * sn * sn * mu[d - 2])
+                dmu.append(d * dmn * mu[d - 1] + d * (d - 1) * sn * dsn * mu[d - 2])
+            want = (exact(alpha, slopes), exact(weights, mu), exact(weights, dmu))
+            for op, (matrix, vector) in enumerate(got):
+                worst[op] = np.maximum(worst[op], [abs(matrix[n] - want[op]),
+                                                   abs(vector[n] - want[op])])
+    assert np.all(worst[:, 1] <= worst[:, 0]), worst
 
 
 # ----------------------------------------------------------- now scheme
