@@ -220,13 +220,19 @@ class BasisSet:
         """sum_d coefs[..., d] E[(mean + std*G)^d], running the moment
         recurrence with an accumulator: elementwise in the states, so a
         state's result does not depend on how many are passed.  A (k,)
-        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows."""
+        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows.  A
+        table is lower triangular, so moment d updates only rows j >= d."""
         acc = np.empty(coefs.shape[:-1] + mean.shape)
         acc[...] = coefs[..., 0, None] if coefs.shape[-1] else 0.0
         if coefs.shape[-1] < 2:
             return acc
         tmp = np.empty_like(acc)
-        acc += np.multiply(coefs[..., 1, None], mean, out=tmp)
+
+        def add(d, mu):
+            rows = slice(d, None) if coefs.ndim == 2 else Ellipsis
+            acc[rows] += np.multiply(coefs[rows, d, None], mu, out=tmp[rows])
+
+        add(1, mean)
         var = std * std
         prev, cur, nxt = np.ones_like(mean), mean.copy(), np.empty_like(mean)
         for d in range(2, coefs.shape[-1]):
@@ -236,7 +242,7 @@ class BasisSet:
             np.multiply(mean, cur, out=prev)
             prev += nxt
             prev, cur = cur, prev
-            acc += np.multiply(coefs[..., d, None], cur, out=tmp)
+            add(d, cur)
         return acc
 
     def _slopes(self, i: int, x: np.ndarray):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, ProblemCatalogEntry, TimeGrid
-from .simulate import _validate_seed, counter_normals
+from .simulate import _philox_key, _validate_seed, counter_normals
 
 __all__ = [
     "ReferenceValue",
@@ -100,12 +100,18 @@ def reference_for(entry: ProblemCatalogEntry) -> ReferenceValue | None:
 # Streams of the nested estimator are keyed away from path simulation.
 _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 
+# Children evaluated per slab of the nested tree.  Below the root a slab
+# holds whole rows of ``inner`` children, so it bounds the temporaries
+# (draws, callables, summands) by max(_SLAB_LEAVES, inner) values per level
+# rather than by the leaf count; no bit depends on it.
+_SLAB_LEAVES = 1 << 15
 
-def _level_normals(seed: int, level: int, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    blocks = (count + 3) // 4
-    key = np.array([seed, _NESTED_STREAM_BASE + level], dtype=np.uint64)
-    return counter_normals(key, 0, blocks)[:count].reshape(shape)
+
+def _level_normals(key: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Entries [start, stop) of one level's flat normal stream."""
+    first = start // 4
+    z = counter_normals(key, first, (stop + 3) // 4 - first)
+    return z[start - 4 * first:stop - 4 * first]
 
 
 def nested_mc_y0(
@@ -124,8 +130,14 @@ def nested_mc_y0(
     (explicit driver evaluation at t_{i+1}, so no Picard loop) and
     z_i = mean[y_{i+1} * dW_i] / delta_i, with terminal values phi(X_T) and
     sigma(T, X_T)*phi'(X_T).  The fan-out is ``outer`` at the root and
-    ``inner`` below; configurations whose leaf count exceeds ``node_budget``
-    are rejected.  Meant for coarse grids (N <= 4).
+    ``inner`` below.  Meant for coarse grids (N <= 4).
+
+    The tree is evaluated depth first in slabs of whole child rows, and
+    child j of the level-i node with flat index p draws entry p*fan + j of
+    the level's counter stream, so the estimate does not depend on the
+    slab size and memory stays bounded by the slab, not by the leaf count.
+    ``node_budget`` therefore only guards the run time: configurations
+    whose leaf count exceeds it are rejected.
     """
     if outer < 2 or inner < 2:
         raise ValueError("outer and inner sample counts must be at least 2")
@@ -137,33 +149,53 @@ def nested_mc_y0(
             f"nested run needs {leaves} leaf nodes, over the budget of {node_budget}"
         )
     times, deltas = grid.times, grid.deltas
+    keys = [_philox_key(seed, _NESTED_STREAM_BASE + level) for level in range(N)]
 
-    def branch(level: int, x: np.ndarray, fan: int):
-        """One-step summands y_{next} + dt*f(...) of the nodes' children,
-        plus the increment-weighted summands defining z."""
+    def children(level: int, x: np.ndarray, start: int, fan: int):
+        """One-step summands y_{next} + dt*f(...) of ``fan`` children of
+        each node in x (a column), at flat indices start, start+1, ... of
+        the level's stream, plus the increment-weighted summands defining
+        z.  Shape (x.size, fan)."""
         dt = deltas[level]
-        dw = _level_normals(seed, level, x.shape + (fan,)) * math.sqrt(dt)
-        children = (
-            x[..., None]
-            + dt * np.asarray(problem.drift(times[level], x), dtype=np.float64)[..., None]
-            + np.asarray(problem.diffusion(times[level], x), dtype=np.float64)[..., None] * dw
+        dw = _level_normals(keys[level], start, start + x.size * fan).reshape(x.size, fan)
+        dw *= math.sqrt(dt)
+        kids = (
+            x
+            + dt * np.asarray(problem.drift(times[level], x), dtype=np.float64)
+            + np.asarray(problem.diffusion(times[level], x), dtype=np.float64) * dw
         )
         if level + 1 == N:
-            v_next = np.asarray(problem.terminal(children), dtype=np.float64)
+            v_next = np.asarray(problem.terminal(kids), dtype=np.float64)
             z_next = (
-                np.asarray(problem.diffusion(times[N], children), dtype=np.float64)
-                * np.asarray(problem.terminal_gradient(children), dtype=np.float64)
+                np.asarray(problem.diffusion(times[N], kids), dtype=np.float64)
+                * np.asarray(problem.terminal_gradient(kids), dtype=np.float64)
             )
         else:
-            s, zw = branch(level + 1, children, inner)
-            v_next, z_next = s.mean(axis=-1), zw.mean(axis=-1)
+            v_next, z_next = node_means(level + 1, kids.reshape(-1), start)
+            v_next, z_next = v_next.reshape(kids.shape), z_next.reshape(kids.shape)
         summands = v_next + dt * np.asarray(
-            problem.driver(times[level + 1], children, v_next, z_next), dtype=np.float64
+            problem.driver(times[level + 1], kids, v_next, z_next), dtype=np.float64
         )
         return summands, v_next * dw / dt
 
-    root = np.asarray([problem.initial_state], dtype=np.float64)
-    root_summands = branch(0, root, outer)[0][0]
+    def node_means(level: int, x: np.ndarray, first: int):
+        """(y, z) at the level's nodes x, flat indices first, first+1, ...:
+        the means over each node's own row of ``inner`` children."""
+        y, z = np.empty_like(x), np.empty_like(x)
+        nodes = max(1, _SLAB_LEAVES // inner)
+        for a in range(0, x.size, nodes):
+            b = min(a + nodes, x.size)
+            s, zw = children(level, x[a:b, None], (first + a) * inner, inner)
+            y[a:b], z[a:b] = s.mean(axis=-1), zw.mean(axis=-1)
+        return y, z
+
+    # The root's row is split into slabs too; y0 and its SE are taken over
+    # all ``outer`` summands at once.
+    root = np.asarray([[problem.initial_state]], dtype=np.float64)
+    root_summands = np.empty(outer)
+    for a in range(0, outer, _SLAB_LEAVES):
+        b = min(a + _SLAB_LEAVES, outer)
+        root_summands[a:b] = children(0, root, a, b - a)[0][0]
     y0 = float(root_summands.mean())
     se = float(root_summands.std(ddof=1) / math.sqrt(outer))
     return NestedEstimate(y0=y0, standard_error=se)

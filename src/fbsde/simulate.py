@@ -68,18 +68,27 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def counter_normals(key: np.ndarray, block_start: int, n_blocks: int) -> np.ndarray:
+def counter_normals(key: np.ndarray, block_start: int, n_blocks: int,
+                    width: int | None = None) -> np.ndarray:
     """Standard normals for a contiguous counter-block range of one stream.
 
     Returns 4*n_blocks values; entry j is a pure function of (key,
-    block_start*4 + j), independent of how the range is chunked.
+    block_start*4 + j), independent of how the range is chunked.  With
+    ``width``, the range is read as rows of ceil(width/4) blocks and only
+    the first ``width`` words of each row are converted: the result is
+    the (rows, width) array of those entries.
     """
     bg = Philox(key=key)
     if block_start:
         bg.advance(block_start)
     words = Generator(bg).integers(0, 2**64, size=4 * n_blocks, dtype=np.uint64)
-    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-    return ndtri(u)
+    words >>= np.uint64(12)
+    if width is not None:
+        words = words.reshape(-1, 4 * _blocks_per_path(width))[:, :width]
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=u)
 
 
 def _blocks_per_path(n_steps: int) -> int:
@@ -89,8 +98,7 @@ def _blocks_per_path(n_steps: int) -> int:
 def _path_normals(seed: int, m_start: int, m_stop: int, n_steps: int) -> np.ndarray:
     """Unit normals for paths [m_start, m_stop), shape (m_stop-m_start, N)."""
     B = _blocks_per_path(n_steps)
-    z = counter_normals(_philox_key(seed), m_start * B, (m_stop - m_start) * B)
-    return z.reshape(m_stop - m_start, 4 * B)[:, :n_steps]
+    return counter_normals(_philox_key(seed), m_start * B, (m_stop - m_start) * B, n_steps)
 
 
 def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,3 +175,42 @@ def test_nested_mc_budget_and_determinism():
     assert a == b
     with pytest.raises(ValueError):
         nested_mc_y0(problem, grid2, outer=1, inner=50, seed=9)
+
+
+def _nested_arctan(N, outer, inner, seed):
+    problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
+    return nested_mc_y0(problem, make_uniform_grid(1.0, N), outer, inner, seed)
+
+
+def test_nested_mc_matches_pinned_values():
+    # float.hex of the whole-tree evaluation that preceded slabs
+    est = _nested_arctan(2, 500, 50, 9)
+    assert est.y0.hex() == "0x1.57f6384e17fc6p-5"
+    assert est.standard_error.hex() == "0x1.f117ce826d75ap-7"
+    est = _nested_arctan(3, 37, 41, 5)
+    assert est.y0.hex() == "-0x1.e2a3b944849dap-10"
+    assert est.standard_error.hex() == "0x1.5006a2453a30dp-5"
+
+
+@pytest.mark.parametrize("N, outer, inner", [(1, 37, 41), (2, 37, 41), (3, 37, 41),
+                                             (4, 9, 7), (2, 150, 33)])
+def test_nested_mc_independent_of_slab_size(monkeypatch, N, outer, inner):
+    # the slab size bounds temporaries only: every draw is addressed by its
+    # flat index in the level's stream and every mean runs over one row
+    base = _nested_arctan(N, outer, inner, 5)
+    for slab in (1, 7, 1000, 10**9):
+        monkeypatch.setattr("fbsde.oracle._SLAB_LEAVES", slab)
+        assert _nested_arctan(N, outer, inner, 5) == base
+
+
+def test_nested_mc_memory_is_bounded_by_the_slab():
+    # 4M leaves; the whole-tree evaluation peaked at 183 MiB here
+    problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
+    grid = make_uniform_grid(1.0, 2)
+    tracemalloc.start()
+    try:
+        nested_mc_y0(problem, grid, outer=2000, inner=2000, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbsde.model import FbsdeProblem, ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.simulate import euler_states, simulate_paths
+from fbsde.simulate import _philox_key, counter_normals, euler_states, simulate_paths
 
 
 def constant_problem(x0=7.0):
@@ -93,6 +93,26 @@ def test_determinism_across_chunk_sizes(monkeypatch):
         other = simulate_paths(problem, grid, 10_000, seed=5)
         assert np.array_equal(base.states, other.states)
         assert np.array_equal(base.increments, other.increments)
+
+
+def test_counter_normals_golden_values():
+    # the randomness contract: Philox words -> midpoint uniforms -> ndtri
+    z = counter_normals(_philox_key(101), 0, 3)
+    assert z.shape == (12,)
+    assert [z[j].hex() for j in (0, 5, 11)] == [
+        "-0x1.1d474152b11c0p-1", "-0x1.3dd81f000bc48p-1", "0x1.072b2c8bbdd42p-2"]
+    z = counter_normals(np.array([2**64 - 1, 0x6E657375], dtype=np.uint64), 123456, 2)
+    assert [z[j].hex() for j in (0, 7)] == ["-0x1.ea32cde0e1d6fp-2", "-0x1.9f3f19fd393e6p+0"]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 5, 10])
+def test_counter_normals_width_keeps_row_prefixes(width):
+    key = _philox_key(7, 3)
+    blocks = (width + 3) // 4
+    full = counter_normals(key, 5 * blocks, 9 * blocks)
+    rows = counter_normals(key, 5 * blocks, 9 * blocks, width)
+    assert rows.shape == (9, width)
+    assert np.array_equal(rows, full.reshape(9, 4 * blocks)[:, :width])
 
 
 def test_euler_reconstruction_is_bitwise():
