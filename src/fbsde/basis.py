@@ -16,15 +16,18 @@ rounding, never a quadrature.
 Families: ``laguerre`` (unit-norm for the exp(-u) weight on [0, inf) as
 standard), ``hermite`` (probabilists', unnormalized), ``monomial``.
 Each family is one three-term recurrence for the values and one derivative
-rule p'_{n+1} = d_n p'_n + e_n p_n.  The rule has constant coefficients, so
-it also maps E[p_n(U)] to E[p'_n(U)], and it gives the monomial table as
-the Taylor coefficients at u = 0.
+rule p'_{n+1} = d_n p'_n + e_n p_n.  Applied repeatedly at one point, the
+rule gives the Taylor coefficients of every p_n there: at u = 0 that is
+the monomial table.
 
-The regression-later sweep needs only one combination sum_j w_j e_j at a
-time.  The ``*_dot`` operations fold w into Taylor coefficients about the
-scaled start state of the step, using tables built once per basis, and
-evaluate that one polynomial (Horner's rule for the derivative, a running
-moment sum for the expectation) with no (M, k) matrix.
+Each basis quantity has one evaluator, on Taylor coefficients c[..., d] in
+powers of u - centre: Horner's rule for the derivative, a running Gaussian
+moment sum for the expectation, and the two combined for the expectation's
+derivative.  The regression-later sweep needs only one combination
+sum_j w_j e_j at a time: the ``*_dot`` operations fold w into one such
+polynomial about the scaled start state of the step, using tables built
+once per basis, with no (M, k) matrix.  The matrix operations pass the
+centre-0 table, one polynomial per basis function.
 """
 
 from __future__ import annotations
@@ -91,12 +94,13 @@ class BasisSet:
     Euler transition of step i, and its x-derivative.
 
     ``grad_dot``/``cond_exp_dot``/``cond_exp_grad_dot`` give the same
-    quantities for one coefficient vector w, e.g. ``grad(i, x) @ w``.
+    quantities for one coefficient vector w, e.g. ``grad(i, x) @ w``, from
+    the same evaluators as the matrix operations.
 
-    All operations accept a scalar state (returning shape (k,), or a scalar
-    for the ``*_dot`` operations) or a state vector of shape (M,)
-    (returning (M, k), or (M,)).  They are elementwise in the states, so
-    the scalar and vector paths agree bit for bit.
+    States are read as a vector of M values, a scalar as M = 1.  The matrix
+    operations return shape (M, k), the ``*_dot`` operations (M,).  Every
+    operation is elementwise in the states, so a state's result does not
+    depend on how many states are passed with it.
     """
 
     def __init__(self, family: str, k: int, problem: FbsdeProblem, grid: TimeGrid) -> None:
@@ -144,14 +148,20 @@ class BasisSet:
 
     # -- helpers -----------------------------------------------------------
 
-    def _as_vector(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        return np.atleast_1d(arr), arr.ndim == 0
+    @staticmethod
+    def _as_vector(x) -> np.ndarray:
+        return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
     def _check_step(self, i: int) -> int:
         if not 0 <= i < self.grid.n_steps:
             raise IndexError(f"step index {i} out of range [0, {self.grid.n_steps})")
         return i
+
+    def _scaled(self, i: int, x) -> np.ndarray:
+        """The states as scaled values u = (x - shift_i) / scale_i."""
+        u = self._as_vector(x) - self._shift[i]
+        u /= self._scale[i]
+        return u
 
     def _transition(self, i: int, x: np.ndarray):
         """Scaled mean/std of the step-i Euler transition started at x."""
@@ -160,6 +170,14 @@ class BasisSet:
         m = x + dt * np.asarray(self.problem.drift(t, x), dtype=np.float64)
         s = np.asarray(self.problem.diffusion(t, x), dtype=np.float64) * np.sqrt(dt)
         return (m - self._shift[i]) / self._scale[i], s / self._scale[i]
+
+    def _slopes(self, i: int, x: np.ndarray):
+        """x-derivatives of the scaled transition mean and std of step i."""
+        t = self.grid.times[i]
+        dt = self.grid.deltas[i]
+        b_x = np.asarray(self.problem.drift_dx(t, x), dtype=np.float64)
+        sigma_x = np.asarray(self.problem.diffusion_dx(t, x), dtype=np.float64)
+        return (1.0 + dt * b_x) / self._scale[i], sigma_x * np.sqrt(dt) / self._scale[i]
 
     def _polys(self, u: np.ndarray, out=None) -> np.ndarray:
         """p_0..p_{k-1} at the scaled states u: one (k, M) buffer (``out``, if
@@ -178,61 +196,49 @@ class BasisSet:
                 nxt -= np.multiply(p[n - 1], c, out=tmp)
         return p.T
 
-    def _differentiate(self, rows: np.ndarray) -> np.ndarray:
-        """Overwrite the (k, M) rows p_0..p_{k-1} (values, or conditional
-        expectations of the values) with their u-derivatives, by the rule
-        p'_{n+1} = d_n p'_n + e_n p_n, elementwise.  Returns ``rows``."""
-        p, saved, tmp = rows[0].copy(), np.empty_like(rows[0]), np.empty_like(rows[0])
-        rows[0] = 0.0
+    def _differentiate(self, p: np.ndarray) -> np.ndarray:
+        """u-derivatives of the values p_0..p_{k-1} at one point, by the rule
+        p'_{n+1} = d_n p'_n + e_n p_n."""
+        out = np.zeros_like(p)
         for n, (_, _, _, d, e) in enumerate(self._coefficients):
-            nxt = rows[n + 1]
-            saved[...] = nxt
-            np.multiply(p, e, out=nxt)
-            if d:
-                nxt += np.multiply(rows[n], d, out=tmp)
-            p, saved = saved, p
-        return rows
+            out[n + 1] = e * p[n] + d * out[n] if d else e * p[n]
+        return out
 
     def _taylor_table(self, centre: float) -> np.ndarray:
         """Entry (j, d) is p_j^(d)(centre)/d!: row j holds the coefficients
         of p_j in powers of u - centre."""
         if self.family == "laguerre" and centre == 0.0:
             # L_n(0) = 1 exactly; the float recurrence is a few ulps off at high n.
-            rows = np.ones((self.k, 1))
+            p = np.ones(self.k)
         else:
-            rows = self._polys(np.array([centre])).T
+            p = self._polys(np.array([centre]))[0]
         table = np.empty((self.k, self.k))
         for d in range(self.k):
-            table[:, d] = rows[:, 0] / float(factorial(d))
-            self._differentiate(rows)
+            table[:, d] = p / float(factorial(d))
+            p = self._differentiate(p)
         return table
 
-    def _fold(self, i: int, weights) -> np.ndarray:
+    def _fold(self, i: int, weights):
         """Taylor coefficients c_d of q = sum_j w_j p_j in powers of
-        u - centre_i, summed over j in a fixed order."""
+        u - centre_i, summed over j in a fixed order, and centre_i."""
+        self._check_step(i)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.k,):
             raise ValueError(f"weights shape {w.shape} does not match basis size {self.k}")
-        return (w[:, None] * self._folds[i]).sum(axis=0)
+        return (w[:, None] * self._folds[i]).sum(axis=0), self._centre[i]
 
     @staticmethod
     def _gaussian_sum(coefs: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
         """sum_d coefs[..., d] E[(mean + std*G)^d], running the moment
         recurrence with an accumulator: elementwise in the states, so a
         state's result does not depend on how many are passed.  A (k,)
-        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows.  A
-        table is lower triangular, so moment d updates only rows j >= d."""
+        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows."""
         acc = np.empty(coefs.shape[:-1] + mean.shape)
         acc[...] = coefs[..., 0, None] if coefs.shape[-1] else 0.0
         if coefs.shape[-1] < 2:
             return acc
         tmp = np.empty_like(acc)
-
-        def add(d, mu):
-            rows = slice(d, None) if coefs.ndim == 2 else Ellipsis
-            acc[rows] += np.multiply(coefs[rows, d, None], mu, out=tmp[rows])
-
-        add(1, mean)
+        acc += np.multiply(coefs[..., 1, None], mean, out=tmp)
         var = std * std
         prev, cur, nxt = np.ones_like(mean), mean.copy(), np.empty_like(mean)
         for d in range(2, coefs.shape[-1]):
@@ -242,16 +248,47 @@ class BasisSet:
             np.multiply(mean, cur, out=prev)
             prev += nxt
             prev, cur = cur, prev
-            add(d, cur)
+            acc += np.multiply(coefs[..., d, None], cur, out=tmp)
         return acc
 
-    def _slopes(self, i: int, x: np.ndarray):
-        """x-derivatives of the scaled transition mean and std of step i."""
-        t = self.grid.times[i]
-        dt = self.grid.deltas[i]
-        b_x = np.asarray(self.problem.drift_dx(t, x), dtype=np.float64)
-        sigma_x = np.asarray(self.problem.diffusion_dx(t, x), dtype=np.float64)
-        return (1.0 + dt * b_x) / self._scale[i], sigma_x * np.sqrt(dt) / self._scale[i]
+    # -- one evaluator per quantity, on Taylor coefficients in u - centre --
+
+    def _slope(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+        """q'(u) by Horner's rule, times the chain-rule factor 1/scale_i."""
+        v = self._scaled(i, x)
+        v -= centre
+        out = np.empty(coefs.shape[:-1] + v.shape)
+        out[...] = (self.k - 1) * coefs[..., -1, None]
+        for d in range(self.k - 2, 0, -1):
+            out *= v
+            out += d * coefs[..., d, None]
+        out /= self._scale[i]
+        return out
+
+    def _expectation(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+        """E[q(U)] from the moments of U - centre."""
+        m, s = self._transition(i, self._as_vector(x))
+        m -= centre
+        return self._gaussian_sum(coefs, m, s)
+
+    def _expectation_slope(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+        """d/dx E[q(U)] for U = m' + s'G.
+
+        d/dx E[q(U)] = m'' E[q'(U)] + s'' E[q'(U) G], and Gaussian
+        integration by parts, E[q'(U) G] = s' E[q''(U)], gives
+        m'' E[q'(U)] + s' s'' E[q''(U)], with m'' = dm'/dx, s'' = ds'/dx.
+        """
+        x = self._as_vector(x)
+        m, s = self._transition(i, x)
+        m -= centre
+        dm, ds = self._slopes(i, x)
+        d = np.arange(self.k, dtype=np.float64)
+        first = self._gaussian_sum(d[1:] * coefs[..., 1:], m, s)
+        second = self._gaussian_sum(d[2:] * d[1:-1] * coefs[..., 2:], m, s)
+        first *= dm
+        second *= s * ds
+        first += second
+        return first
 
     # -- operations --------------------------------------------------------
 
@@ -259,86 +296,28 @@ class BasisSet:
         """Basis values e_i(x); component j is the degree-j polynomial of
         the scaled state.  ``out`` is an optional (k, M) float64 buffer to
         fill; the returned (M, k) array is then its transpose."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        values = self._polys((xv - self._shift[i]) / self._scale[i], out)
-        return values[0] if scalar else values
+        return self._polys(self._scaled(self._check_step(i), x), out)
 
     def grad(self, i: int, x) -> np.ndarray:
         """State derivative of eval, including the chain-rule scaling factor."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        rows = self._differentiate(self._polys((xv - self._shift[i]) / self._scale[i]).T)
-        rows /= self._scale[i]
-        out = rows.T
-        return out[0] if scalar else out
+        return self._slope(self._check_step(i), x, self._table, 0.0).T
 
     def cond_exp(self, i: int, x) -> np.ndarray:
         """Exact E[e_i(X_{t_{i+1}}) | X_{t_i} = x] under the Euler transition."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        out = self._gaussian_sum(self._table, *self._transition(i, xv)).T
-        return out[0] if scalar else out
+        return self._expectation(self._check_step(i), x, self._table, 0.0).T
 
     def cond_exp_grad(self, i: int, x) -> np.ndarray:
-        """Exact x-derivative of cond_exp.
-
-        With U = m' + s'G, d/dx E[p(U)] = m'' E[p'(U)] + s'' E[p'(U) G], and
-        Gaussian integration by parts, E[p'(U) G] = s' E[p''(U)], gives
-        m'' D(h) + s' s'' D(D(h)), where h are the cond_exp rows, D is the
-        derivative rule, m'' = dm'/dx and s'' = ds'/dx.
-        """
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        m, s = self._transition(i, xv)
-        dm, ds = self._slopes(i, xv)
-        first = self._differentiate(self._gaussian_sum(self._table, m, s))
-        second = self._differentiate(first.copy())
-        first *= dm
-        second *= s * ds
-        first += second
-        out = first.T
-        return out[0] if scalar else out
-
-    # -- operations on one combination q = sum_j w_j p_j ---------------------
+        """Exact x-derivative of cond_exp."""
+        return self._expectation_slope(self._check_step(i), x, self._table, 0.0).T
 
     def grad_dot(self, i: int, x, weights) -> np.ndarray:
-        """grad(i, x) @ weights: q'(u) by Horner's rule in u - centre."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        c = self._fold(i, weights)
-        v = xv - self._shift[i]
-        v /= self._scale[i]
-        v -= self._centre[i]
-        out = np.full_like(v, (self.k - 1) * c[-1])
-        for d in range(self.k - 2, 0, -1):
-            out *= v
-            out += d * c[d]
-        out /= self._scale[i]
-        return out[0] if scalar else out
+        """grad(i, x) @ weights."""
+        return self._slope(i, x, *self._fold(i, weights))
 
     def cond_exp_dot(self, i: int, x, weights) -> np.ndarray:
-        """cond_exp(i, x) @ weights: E[q(U)] from the moments of U - centre."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        m, s = self._transition(i, xv)
-        m -= self._centre[i]
-        out = self._gaussian_sum(self._fold(i, weights), m, s)
-        return out[0] if scalar else out
+        """cond_exp(i, x) @ weights."""
+        return self._expectation(i, x, *self._fold(i, weights))
 
     def cond_exp_grad_dot(self, i: int, x, weights) -> np.ndarray:
-        """cond_exp_grad(i, x) @ weights: m'' E[q'(U)] + s' s'' E[q''(U)],
-        by the integration by parts of cond_exp_grad."""
-        self._check_step(i)
-        xv, scalar = self._as_vector(x)
-        m, s = self._transition(i, xv)
-        m -= self._centre[i]
-        dm, ds = self._slopes(i, xv)
-        c = self._fold(i, weights)
-        d = np.arange(self.k, dtype=np.float64)
-        first = self._gaussian_sum(d[1:] * c[1:], m, s)
-        second = self._gaussian_sum(d[2:] * d[1:-1] * c[2:], m, s)
-        first *= dm
-        second *= s * ds
-        first += second
-        return first[0] if scalar else first
+        """cond_exp_grad(i, x) @ weights."""
+        return self._expectation_slope(i, x, *self._fold(i, weights))

@@ -91,7 +91,13 @@ def _sweep(scheme, problem, grid, basis, paths, step, initial_z) -> SolverResult
     _require_finite(y, N, "terminal values")
     diagnostics: dict = {}
     for i in range(N - 1, -1, -1):
-        y, record = step(i, y)
+        # An overflow, invalid value or division by zero fails the step at
+        # once, with the operation in the message, and never warns.
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                y, record = step(i, y)
+        except FloatingPointError as exc:
+            raise NumericalError(f"{exc} at step {i}") from exc
         _require_finite(y, i, "fitted values")
         record["max_abs_y"] = float(np.max(np.abs(y)))
         for name, value in record.items():
@@ -151,10 +157,10 @@ def solve_regress_later(
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
     def initial_z(diagnostics):
-        x0 = problem.initial_state
+        x0 = np.array([problem.initial_state])
         weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
-        sigma0 = np.asarray(problem.diffusion(times[0], np.asarray([x0], dtype=np.float64)))[0]
-        return float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights))
+        sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
+        return float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
 
     return _sweep("later", problem, grid, basis, paths, step, initial_z)
 

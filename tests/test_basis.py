@@ -29,18 +29,18 @@ def gbm_problem():
 
 def test_monomial_values():
     basis = BasisSet("monomial", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.eval(0, 2.0), [1.0, 2.0, 4.0], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.eval(0, np.array([2.0])), [[1.0, 2.0, 4.0]], rtol=0, atol=0)
 
 
 def test_hermite_values_at_zero():
     # probabilists' Hermite: He0=1, He1=x, He2=x^2-1
     basis = BasisSet("hermite", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.eval(0, 0.0), [1.0, 0.0, -1.0], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.eval(0, np.array([0.0])), [[1.0, 0.0, -1.0]], rtol=0, atol=0)
 
 
 def test_laguerre_values_at_zero():
     basis = BasisSet("laguerre", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.eval(0, 0.0), [1.0, 1.0, 1.0], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.eval(0, np.array([0.0])), [[1.0, 1.0, 1.0]], rtol=0, atol=0)
 
 
 def test_first_component_is_constant():
@@ -54,8 +54,8 @@ def test_vectorized_eval_matches_scalar():
     basis = BasisSet("laguerre", 4, gbm_problem(), GRID)
     x = np.array([80.0, 100.0, 120.0])
     rows = basis.eval(3, x)
-    for i, xi in enumerate(x):
-        np.testing.assert_array_equal(rows[i], basis.eval(3, float(xi)))
+    for i in range(x.size):
+        np.testing.assert_array_equal(rows[i:i + 1], basis.eval(3, x[i:i + 1]))
 
 
 def test_oversized_basis_rejected():
@@ -80,19 +80,19 @@ def test_step_index_bounds():
 
 def test_monomial_gradient():
     basis = BasisSet("monomial", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.grad(0, 2.0), [0.0, 1.0, 4.0], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.grad(0, np.array([2.0])), [[0.0, 1.0, 4.0]], rtol=0, atol=0)
 
 
 def test_hermite_gradient_at_zero():
     # He_n' = n He_{n-1}
     basis = BasisSet("hermite", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.grad(0, 0.0), [0.0, 1.0, 0.0], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.grad(0, np.array([0.0])), [[0.0, 1.0, 0.0]], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
 def test_gradient_matches_central_difference(family):
     basis = BasisSet(family, 6, brownian_problem(), GRID)
-    x, h = 0.7, 1e-5
+    x, h = np.array([0.7]), 1e-5
     fd = (basis.eval(2, x + h) - basis.eval(2, x - h)) / (2 * h)
     np.testing.assert_allclose(basis.grad(2, x), fd, rtol=1e-6, atol=1e-9)
 
@@ -101,7 +101,7 @@ def test_gradient_matches_central_difference(family):
 def test_gradient_matches_fd_with_state_scaling(family):
     # scaling chain-rule factor must survive on pricing problems
     basis = BasisSet(family, 6, gbm_problem(), GRID)
-    x, h = 104.0, 1e-3
+    x, h = np.array([104.0]), 1e-3
     fd = (basis.eval(5, x + h) - basis.eval(5, x - h)) / (2 * h)
     np.testing.assert_allclose(basis.grad(5, x), fd, rtol=1e-6, atol=1e-12)
 
@@ -158,9 +158,9 @@ def test_recurrence_matches_exact_polynomials(family, k):
             dsize = float(sum(abs(d * c * q ** (d - 1)) for d, c in enumerate(row) if d)) / scale
             assert abs(values[m, j] - float(value)) <= 1e-13 * size
             assert abs(grads[m, j] - float(slope)) <= 1e-13 * dsize
-        # scalar input path: shape (k,), same numbers
-        np.testing.assert_array_equal(basis.eval(1, float(x[m])), values[m])
-        np.testing.assert_array_equal(basis.grad(1, float(x[m])), grads[m])
+        # one state alone: shape (1, k), same numbers
+        np.testing.assert_array_equal(basis.eval(1, x[m:m + 1]), values[m:m + 1])
+        np.testing.assert_array_equal(basis.grad(1, x[m:m + 1]), grads[m:m + 1])
 
 
 # ------------------------------------------------------------- cond_exp
@@ -171,7 +171,7 @@ def test_cond_exp_linear_is_drifted_state():
     basis = BasisSet("monomial", 2, brownian_problem(b0=0.3), GRID)
     for i, x in [(0, 0.0), (4, -1.2), (9, 2.5)]:
         expected = x + GRID.deltas[i] * 0.3
-        np.testing.assert_allclose(basis.cond_exp(i, x), [1.0, expected],
+        np.testing.assert_allclose(basis.cond_exp(i, np.array([x])), [[1.0, expected]],
                                    rtol=1e-15, atol=1e-15)
 
 
@@ -179,7 +179,7 @@ def test_cond_exp_square_brownian():
     # e(x) = x^2 with b=0, sigma=1: E[(x+sqrt(dt) G)^2] = x^2 + dt
     basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     for i, x in [(0, 0.0), (3, 1.5), (8, -0.7)]:
-        got = basis.cond_exp(i, x)
+        got = basis.cond_exp(i, np.array([x]))[0]
         assert got[2] == pytest.approx(x * x + GRID.deltas[i], rel=1e-14, abs=1e-14)
 
 
@@ -189,7 +189,7 @@ def test_cond_exp_cube_brownian_with_mc_cross_check():
     i, x = 5, 0.8
     dt = GRID.deltas[i]
     expected = x**3 + 3 * x * dt
-    got = basis.cond_exp(i, x)[3]
+    got = basis.cond_exp(i, np.array([x]))[0, 3]
     assert got == pytest.approx(expected, rel=1e-14)
     g = np.random.default_rng(2718).standard_normal(1_000_000)
     samples = (x + np.sqrt(dt) * g) ** 3
@@ -210,7 +210,7 @@ def test_cond_exp_matches_one_step_monte_carlo(family):
     values = basis.eval(i, draws)
     mc = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(n)
-    exact = basis.cond_exp(i, x)
+    exact = basis.cond_exp(i, np.array([x]))[0]
     assert np.all(np.abs(mc - exact) <= 4 * stderr + 1e-15)
 
 
@@ -220,14 +220,14 @@ def test_cond_exp_matches_one_step_monte_carlo(family):
 def test_cond_exp_grad_linear_brownian_is_one():
     basis = BasisSet("monomial", 2, brownian_problem(), GRID)
     for i, x in [(0, 0.0), (6, 1.1)]:
-        np.testing.assert_allclose(basis.cond_exp_grad(i, x), [0.0, 1.0],
+        np.testing.assert_allclose(basis.cond_exp_grad(i, np.array([x])), [[0.0, 1.0]],
                                    rtol=0, atol=1e-15)
 
 
 def test_cond_exp_grad_square_brownian_is_2x():
     basis = BasisSet("monomial", 3, brownian_problem(), GRID)
     for i, x in [(2, 0.4), (7, -1.3)]:
-        got = basis.cond_exp_grad(i, x)
+        got = basis.cond_exp_grad(i, np.array([x]))[0]
         assert got[2] == pytest.approx(2 * x, rel=1e-14, abs=1e-14)
 
 
@@ -237,7 +237,7 @@ def test_cond_exp_grad_matches_fd_on_gbm(family):
     # 5-point central stencil keeps the oracle's own truncation far below
     # the 1e-6 comparison tolerance
     basis = BasisSet(family, 6, gbm_problem(), GRID)
-    i, x, h = 3, 102.0, 1e-2
+    i, x, h = 3, np.array([102.0]), 1e-2
     f = lambda v: basis.cond_exp(i, v)
     fd = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
     np.testing.assert_allclose(basis.cond_exp_grad(i, x), fd, rtol=1e-6, atol=1e-12)
@@ -443,12 +443,13 @@ def test_combination_ops_match_exact_values(name, family, k):
 
 
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
-def test_scalar_and_vector_paths_agree_bitwise(family):
+def test_one_state_agrees_bitwise_with_many(family):
     # Every op is elementwise in the states, so a state's result does not
-    # depend on how many states are passed with it.
+    # depend on how many states are passed with it; a 0-d state is M = 1.
     entry, _ = EXACT_PROBLEMS["brownian"]
     grid = make_uniform_grid(1.0, 4)
-    basis = BasisSet(family, 6, make_problem(entry), grid)
+    k = 6
+    basis = BasisSet(family, k, make_problem(entry), grid)
     w = np.array([0.5, -2.0, 1.25, 3.0, -0.75, 0.125])
     ops = {"eval": basis.eval, "grad": basis.grad, "cond_exp": basis.cond_exp,
            "cond_exp_grad": basis.cond_exp_grad,
@@ -459,8 +460,12 @@ def test_scalar_and_vector_paths_agree_bitwise(family):
     for i in range(grid.n_steps):
         for name, op in ops.items():
             together = op(i, x)
-            for n, xn in enumerate(x):
-                np.testing.assert_array_equal(op(i, float(xn)), together[n], err_msg=name)
+            for n in range(x.size):
+                np.testing.assert_array_equal(op(i, x[n:n + 1]), together[n:n + 1],
+                                              err_msg=name)
+            alone = op(i, x[0])
+            assert alone.shape == ((1,) if name.endswith("_dot") else (1, k)), name
+            np.testing.assert_array_equal(alone, together[:1], err_msg=name)
 
 
 def test_combination_ops_reject_mismatched_weights():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -191,7 +192,6 @@ def test_exit_code_on_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_code_on_numerical_failure(tmp_path, capsys):
     # diffusion large enough to overflow the basis powers to inf
     out = tmp_path / "x.csv"
@@ -200,6 +200,19 @@ def test_exit_code_on_numerical_failure(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)])
     assert code == 3
     assert "numerical" in capsys.readouterr().err
+
+
+def test_overflowing_sweep_exits_3_without_traceback(tmp_path):
+    # under -W error an overflow warning would otherwise escape as a traceback
+    out = tmp_path / "rows.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(fbsde.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fbsde.cli", "solve", "--problem", "call",
+         "--paths", "100", "S0=1e300", "--scheme", "both", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert re.fullmatch(r"numerical failure: [^\n]* at step \d+\n", done.stderr), done.stderr
+    assert not out.exists()
 
 
 def test_exit_code_on_allocation_failure(tmp_path, capsys, monkeypatch):

@@ -481,7 +481,6 @@ def test_nan_driver_stops_picard_at_first_iteration():
     assert calls == [GRID.times[9]]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_infinite_gap_stops_picard():
     # an overflowing proposal gives an infinite gap: no further iterations
     base = linear_brownian()
@@ -502,3 +501,26 @@ def test_infinite_gap_stops_picard():
     with pytest.raises(NumericalError):
         solve_regress_now(problem, grid, basis, ens, picard_iters=50)
     assert len(calls) <= 3
+
+
+def test_infinite_driver_value_stops_picard():
+    # an infinite driver value raises no floating-point error, but its
+    # infinite gap ends the Picard loop after one iteration
+    base = linear_brownian()
+    calls = []
+
+    def infinite_driver(t, x, y, z):
+        calls.append(t)
+        return np.full_like(y, np.inf)
+
+    problem = FbsdeProblem(
+        drift=base.drift, diffusion=base.diffusion, driver=infinite_driver,
+        terminal=base.terminal, terminal_gradient=base.terminal_gradient,
+        initial_state=0.0, horizon=1.0,
+        drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
+    grid = make_uniform_grid(1.0, 4)
+    basis = BasisSet("hermite", 3, problem, grid)
+    ens = simulate_paths(problem, grid, 500, seed=2)
+    with pytest.raises(NumericalError, match="fitted values at step 3$"):
+        solve_regress_now(problem, grid, basis, ens, picard_iters=50)
+    assert calls == [grid.times[3]]
