@@ -28,6 +28,10 @@ sum_j w_j e_j at a time: the ``*_dot`` operations fold w into one such
 polynomial about the scaled start state of the step, using tables built
 once per basis, with no (M, k) matrix.  The matrix operations pass the
 centre-0 table, one polynomial per basis function.
+
+The values and the three evaluators run over blocks of _BLOCK states, so
+that their temporaries stay in cache.  Every operation is elementwise in
+the states, so no bit depends on the block size.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ BASIS_FAMILIES = ("laguerre", "hermite", "monomial")
 
 # Moment expansions degrade in double precision past this degree.
 MAX_DEGREE = 30
+
+# States per block of the values and the evaluators: their (k, block)
+# temporaries stay in L2.
+_BLOCK = 16_384
 
 
 def _recurrence_coefficients(family: str, n: int) -> tuple[float, float, float, float, float]:
@@ -180,20 +188,22 @@ class BasisSet:
         return (1.0 + dt * b_x) / self._scale[i], sigma_x * np.sqrt(dt) / self._scale[i]
 
     def _polys(self, u: np.ndarray, out=None) -> np.ndarray:
-        """p_0..p_{k-1} at the scaled states u: one (k, M) buffer (``out``, if
-        given), returned transposed, since a factorisation copies a
-        column-major design straight."""
+        """p_0..p_{k-1} at the scaled states u, block by block: one (k, M)
+        buffer (``out``, if given), returned transposed, since a
+        factorisation copies a column-major design straight."""
         p = np.empty((self.k, u.size)) if out is None else out
-        p[0] = 1.0
-        tmp = np.empty_like(u)
-        for n, (a, b, c, _, _) in enumerate(self._coefficients):
-            nxt = p[n + 1]
-            np.multiply(u, a, out=nxt)
-            if b:
-                nxt += b
-            nxt *= p[n]
-            if c:
-                nxt -= np.multiply(p[n - 1], c, out=tmp)
+        tmp = np.empty(min(u.size, _BLOCK))
+        for lo in range(0, u.size, _BLOCK):
+            ub, pb = u[lo:lo + _BLOCK], p[:, lo:lo + _BLOCK]
+            pb[0] = 1.0
+            for n, (a, b, c, _, _) in enumerate(self._coefficients):
+                nxt = pb[n + 1]
+                np.multiply(ub, a, out=nxt)
+                if b:
+                    nxt += b
+                nxt *= pb[n]
+                if c:
+                    nxt -= np.multiply(pb[n - 1], c, out=tmp[:ub.size])
         return p.T
 
     def _differentiate(self, p: np.ndarray) -> np.ndarray:
@@ -228,12 +238,12 @@ class BasisSet:
         return (w[:, None] * self._folds[i]).sum(axis=0), self._centre[i]
 
     @staticmethod
-    def _gaussian_sum(coefs: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-        """sum_d coefs[..., d] E[(mean + std*G)^d], running the moment
-        recurrence with an accumulator: elementwise in the states, so a
-        state's result does not depend on how many are passed.  A (k,)
-        ``coefs`` gives shape (M,), a (k, k) table gives (k, M) rows."""
-        acc = np.empty(coefs.shape[:-1] + mean.shape)
+    def _gaussian_sum(coefs: np.ndarray, mean: np.ndarray, std: np.ndarray,
+                      acc: np.ndarray) -> np.ndarray:
+        """sum_d coefs[..., d] E[(mean + std*G)^d] into ``acc``, running the
+        moment recurrence with an accumulator: elementwise in the states, so
+        a state's result does not depend on how many are passed.  A (k,)
+        ``coefs`` fills shape (M,), a (k, k) table fills (k, M) rows."""
         acc[...] = coefs[..., 0, None] if coefs.shape[-1] else 0.0
         if coefs.shape[-1] < 2:
             return acc
@@ -252,43 +262,51 @@ class BasisSet:
         return acc
 
     # -- one evaluator per quantity, on Taylor coefficients in u - centre --
+    # Each fills ``out``, of shape coefs.shape[:-1] + x.shape, for one block
+    # of states x; ``_over_blocks`` runs it over all of them.
 
-    def _slope(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+    def _over_blocks(self, evaluate, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+        x = self._as_vector(x)
+        out = np.empty(coefs.shape[:-1] + x.shape)
+        for lo in range(0, x.size, _BLOCK):
+            evaluate(i, x[lo:lo + _BLOCK], coefs, centre, out[..., lo:lo + _BLOCK])
+        return out
+
+    def _slope(self, i: int, x, coefs: np.ndarray, centre: float, out: np.ndarray) -> None:
         """q'(u) by Horner's rule, times the chain-rule factor 1/scale_i."""
         v = self._scaled(i, x)
         v -= centre
-        out = np.empty(coefs.shape[:-1] + v.shape)
         out[...] = (self.k - 1) * coefs[..., -1, None]
         for d in range(self.k - 2, 0, -1):
             out *= v
             out += d * coefs[..., d, None]
         out /= self._scale[i]
-        return out
 
-    def _expectation(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+    def _expectation(self, i: int, x, coefs: np.ndarray, centre: float,
+                     out: np.ndarray) -> None:
         """E[q(U)] from the moments of U - centre."""
-        m, s = self._transition(i, self._as_vector(x))
+        m, s = self._transition(i, x)
         m -= centre
-        return self._gaussian_sum(coefs, m, s)
+        self._gaussian_sum(coefs, m, s, out)
 
-    def _expectation_slope(self, i: int, x, coefs: np.ndarray, centre: float) -> np.ndarray:
+    def _expectation_slope(self, i: int, x, coefs: np.ndarray, centre: float,
+                           out: np.ndarray) -> None:
         """d/dx E[q(U)] for U = m' + s'G.
 
         d/dx E[q(U)] = m'' E[q'(U)] + s'' E[q'(U) G], and Gaussian
         integration by parts, E[q'(U) G] = s' E[q''(U)], gives
         m'' E[q'(U)] + s' s'' E[q''(U)], with m'' = dm'/dx, s'' = ds'/dx.
         """
-        x = self._as_vector(x)
         m, s = self._transition(i, x)
         m -= centre
         dm, ds = self._slopes(i, x)
         d = np.arange(self.k, dtype=np.float64)
-        first = self._gaussian_sum(d[1:] * coefs[..., 1:], m, s)
-        second = self._gaussian_sum(d[2:] * d[1:-1] * coefs[..., 2:], m, s)
-        first *= dm
+        self._gaussian_sum(d[1:] * coefs[..., 1:], m, s, out)
+        second = self._gaussian_sum(d[2:] * d[1:-1] * coefs[..., 2:], m, s,
+                                    np.empty_like(out))
+        out *= dm
         second *= s * ds
-        first += second
-        return first
+        out += second
 
     # -- operations --------------------------------------------------------
 
@@ -300,24 +318,26 @@ class BasisSet:
 
     def grad(self, i: int, x) -> np.ndarray:
         """State derivative of eval, including the chain-rule scaling factor."""
-        return self._slope(self._check_step(i), x, self._table, 0.0).T
+        return self._over_blocks(self._slope, self._check_step(i), x, self._table, 0.0).T
 
     def cond_exp(self, i: int, x) -> np.ndarray:
         """Exact E[e_i(X_{t_{i+1}}) | X_{t_i} = x] under the Euler transition."""
-        return self._expectation(self._check_step(i), x, self._table, 0.0).T
+        return self._over_blocks(self._expectation, self._check_step(i), x,
+                                 self._table, 0.0).T
 
     def cond_exp_grad(self, i: int, x) -> np.ndarray:
         """Exact x-derivative of cond_exp."""
-        return self._expectation_slope(self._check_step(i), x, self._table, 0.0).T
+        return self._over_blocks(self._expectation_slope, self._check_step(i), x,
+                                 self._table, 0.0).T
 
     def grad_dot(self, i: int, x, weights) -> np.ndarray:
         """grad(i, x) @ weights."""
-        return self._slope(i, x, *self._fold(i, weights))
+        return self._over_blocks(self._slope, i, x, *self._fold(i, weights))
 
     def cond_exp_dot(self, i: int, x, weights) -> np.ndarray:
         """cond_exp(i, x) @ weights."""
-        return self._expectation(i, x, *self._fold(i, weights))
+        return self._over_blocks(self._expectation, i, x, *self._fold(i, weights))
 
     def cond_exp_grad_dot(self, i: int, x, weights) -> np.ndarray:
         """cond_exp_grad(i, x) @ weights."""
-        return self._expectation_slope(i, x, *self._fold(i, weights))
+        return self._over_blocks(self._expectation_slope, i, x, *self._fold(i, weights))

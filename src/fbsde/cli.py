@@ -320,7 +320,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tokens[j] in flags:
             tokens[j:j + 2] = [f"{tokens[j]}={tokens[j + 1]}"]
         j += 1
-    args = parser.parse_args(tokens)
+    # Overrides after a flag are left over, since argparse fills the
+    # positional overrides once; they extend it in argv order.
+    args, leftover = parser.parse_known_args(tokens)
+    unknown = [token for token in leftover if token.startswith("-")]
+    if unknown:
+        solve.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         mapping: dict[str, str] = {}
         if args.config:
@@ -330,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
                 return 2
-        for item in args.overrides:
+        for item in [*args.overrides, *leftover]:
             if "=" not in item:
                 raise ConfigError(f"override {item!r}: expected KEY=VALUE")
             key, value = item.split("=", 1)

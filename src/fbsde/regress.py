@@ -1,13 +1,21 @@
 """Empirical least-squares projections onto the basis span.
 
-A design is factored once, by Householder QR followed by a singular-value
-decomposition of the small triangular factor R, and then solved against as
-many targets as needed: the reflectors apply Q^T to each target, and the
-SVD of R gives the minimal-norm solution for rank-deficient designs.  No
-normal equations are formed, so the conditioning of the solve is that of
-the design itself.  Singular values at or below rows * eps * s_max are
-treated as zero; rank deficiency is surfaced through the reported
-condition estimate rather than as an error.
+A design is factored once and then solved against as many targets as
+needed.  The factorisation is a two-level Householder QR (TSQR; Demmel,
+Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012): the M rows are
+split into max(1, M // _BLOCK_ROWS) near-equal row blocks, each block is
+factored while it sits in cache, and the stacked k x k triangular factors
+of the blocks are factored once more.  A design with one block (M below
+2 * _BLOCK_ROWS) has no top level: its R is the block's, with the same
+bits as a single Householder QR.  A singular-value decomposition of R
+then gives the minimal-norm solution for rank-deficient designs.
+
+A solve applies each block's reflectors to its own slice of the target,
+gathers the leading k entries of every block and applies the top-level
+reflectors to them.  No normal equations are formed, so the conditioning
+of the solve is that of the design itself.  Singular values at or below
+rows * eps * s_max are treated as zero; rank deficiency is surfaced
+through the reported condition estimate rather than as an error.
 """
 
 from __future__ import annotations
@@ -16,6 +24,31 @@ import numpy as np
 
 __all__ = ["FactoredDesign", "project"]
 
+# Rows per block of the two-level factorisation: a (16 384, k) float64 block
+# (768 KiB at k = 6) stays in L2 while LAPACK factors it.  Blocks hold at
+# least this many rows, so every design with M < 2 * _BLOCK_ROWS is one block.
+_BLOCK_ROWS = 16_384
+
+
+class _Householder:
+    """Householder QR of one block: ``r`` is its triangular factor, and
+    ``apply`` maps t to Q^T t in place."""
+
+    def __init__(self, a: np.ndarray) -> None:
+        # The reflectors, one per row (LAPACK's column storage, transposed;
+        # contiguous rows keep each dot product on the BLAS kernel), with
+        # the diagonal set to their implicit leading 1.
+        h, self._tau = np.linalg.qr(a, mode="raw")
+        self._h = np.ascontiguousarray(h)
+        self.r = np.triu(self._h.T[:self._tau.size])
+        np.fill_diagonal(self._h, 1.0)
+
+    def apply(self, t: np.ndarray) -> None:
+        # One Householder reflector at a time.
+        for j in range(self._tau.size):
+            v = self._h[j, j:]
+            t[j:] -= (self._tau[j] * (v @ t[j:])) * v
+
 
 class FactoredDesign:
     """Least-squares factorisation of one design, solvable for several
@@ -23,9 +56,9 @@ class FactoredDesign:
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
     regression states; ``ridge`` adds Tikhonov rows sqrt(ridge)*I.  The
-    design is copied once; the caller may drop it afterwards.
-    ``condition`` is s_max/s_min of the solved matrix (ridge rows
-    included), inf for an exactly singular one.
+    design is copied once, block by block; the caller may drop it
+    afterwards.  ``condition`` is s_max/s_min of the solved matrix (ridge
+    rows included), inf for an exactly singular one.
     """
 
     def __init__(self, design, ridge: float = 0.0) -> None:
@@ -35,15 +68,18 @@ class FactoredDesign:
         if ridge < 0.0:
             raise ValueError("ridge must be nonnegative")
         self._rows, k = a.shape
+        n_blocks = max(1, self._rows // _BLOCK_ROWS)
+        self._starts = [b * self._rows // n_blocks for b in range(n_blocks + 1)]
+        self._blocks = [_Householder(a[lo:hi])
+                        for lo, hi in zip(self._starts, self._starts[1:])]
+        if n_blocks == 1:
+            self._top = None
+            r = self._blocks[0].r
+        else:
+            self._top = _Householder(np.vstack([block.r for block in self._blocks]))
+            r = self._top.r
+        self._n_reflectors = r.shape[0]
         solved_rows = self._rows
-        # The reflectors, one per row (LAPACK's column storage, transposed;
-        # contiguous rows keep each dot product on the BLAS kernel), with
-        # the diagonal set to their implicit leading 1.
-        h, self._tau = np.linalg.qr(a, mode="raw")
-        self._h = np.ascontiguousarray(h)
-        self._n_reflectors = self._tau.size
-        r = np.triu(self._h.T[:self._n_reflectors])
-        np.fill_diagonal(self._h, 1.0)
         if ridge > 0.0:
             # [A; sqrt(ridge) I] = diag(Q, I) [R; sqrt(ridge) I]
             r = np.vstack([r, np.sqrt(ridge) * np.eye(k)])
@@ -72,10 +108,13 @@ class FactoredDesign:
 
     def _solve(self, target: np.ndarray) -> np.ndarray:
         qt = np.array(target)
-        # Q^T t, one Householder reflector at a time.
-        for j in range(self._n_reflectors):
-            v = self._h[j, j:]
-            qt[j:] -= (self._tau[j] * (v @ qt[j:])) * v
+        for block, lo, hi in zip(self._blocks, self._starts, self._starts[1:]):
+            block.apply(qt[lo:hi])
+        if self._top is not None:
+            # The leading entries of each block meet the stacked R factors.
+            qt = np.concatenate([qt[lo:lo + block.r.shape[0]]
+                                 for block, lo in zip(self._blocks, self._starts)])
+            self._top.apply(qt)
         return self._vt.T @ ((self._ut @ qt[:self._n_reflectors]) * self._inv_s)
 
 

@@ -31,6 +31,7 @@ from scipy.special import ndtri
 from .model import FbsdeProblem, TimeGrid
 
 __all__ = [
+    "NumericalError",
     "PathEnsemble",
     "simulate_paths",
     "euler_states",
@@ -39,6 +40,10 @@ __all__ = [
 # Paths drawn per Philox/ndtri call.  It bounds the draw temporaries (words,
 # uniforms, normals) by _CHUNK x N rather than M x N; no bit depends on it.
 _CHUNK = 16_384
+
+
+class NumericalError(RuntimeError):
+    """A simulation or a backward sweep produced non-finite values."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +111,9 @@ def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) 
 
     states[:, i+1] = states[:, i] + delta_i * b(t_i, states[:, i])
                      + sigma(t_i, states[:, i]) * increments[:, i]
+
+    An overflow, invalid value or division by zero raises NumericalError
+    naming the step, and never warns.
     """
     increments = np.asarray(increments, dtype=np.float64)
     m, n = increments.shape
@@ -116,11 +124,15 @@ def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) 
     states[0] = problem.initial_state
     for i in range(n):
         xi = states[i]
-        states[i + 1] = (
-            xi
-            + deltas[i] * problem.drift(times[i], xi)
-            + problem.diffusion(times[i], xi) * increments[:, i]
-        )
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                states[i + 1] = (
+                    xi
+                    + deltas[i] * problem.drift(times[i], xi)
+                    + problem.diffusion(times[i], xi) * increments[:, i]
+                )
+        except FloatingPointError as exc:
+            raise NumericalError(f"{exc} at simulation step {i}") from exc
     return states.T  # F-ordered view: time columns stay contiguous
 
 

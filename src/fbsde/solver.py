@@ -28,7 +28,7 @@ import numpy as np
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
 from .regress import FactoredDesign, project
-from .simulate import PathEnsemble
+from .simulate import NumericalError, PathEnsemble
 
 __all__ = [
     "SolverResult",
@@ -36,10 +36,6 @@ __all__ = [
     "solve_regress_later",
     "solve_regress_now",
 ]
-
-
-class NumericalError(RuntimeError):
-    """A sweep produced non-finite values."""
 
 
 @dataclass(eq=False)

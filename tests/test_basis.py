@@ -4,7 +4,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from fbsde.basis import MAX_DEGREE, BasisSet, gaussian_moments
+from fbsde.basis import _BLOCK, MAX_DEGREE, BasisSet, gaussian_moments
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 
 GRID = make_uniform_grid(1.0, 10)
@@ -442,6 +442,16 @@ def test_combination_ops_match_exact_values(name, family, k):
         assert abs(grads[n] - float(slope)) <= 16 * eps * float(dsize)
 
 
+def all_ops(basis):
+    """The seven operations as op(i, x); the ``*_dot`` ones for a fixed w."""
+    w = np.array([0.5, -2.0, 1.25, 3.0, -0.75, 0.125])
+    return {"eval": basis.eval, "grad": basis.grad, "cond_exp": basis.cond_exp,
+            "cond_exp_grad": basis.cond_exp_grad,
+            "grad_dot": lambda i, x: basis.grad_dot(i, x, w),
+            "cond_exp_dot": lambda i, x: basis.cond_exp_dot(i, x, w),
+            "cond_exp_grad_dot": lambda i, x: basis.cond_exp_grad_dot(i, x, w)}
+
+
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
 def test_one_state_agrees_bitwise_with_many(family):
     # Every op is elementwise in the states, so a state's result does not
@@ -450,12 +460,7 @@ def test_one_state_agrees_bitwise_with_many(family):
     grid = make_uniform_grid(1.0, 4)
     k = 6
     basis = BasisSet(family, k, make_problem(entry), grid)
-    w = np.array([0.5, -2.0, 1.25, 3.0, -0.75, 0.125])
-    ops = {"eval": basis.eval, "grad": basis.grad, "cond_exp": basis.cond_exp,
-           "cond_exp_grad": basis.cond_exp_grad,
-           "grad_dot": lambda i, x: basis.grad_dot(i, x, w),
-           "cond_exp_dot": lambda i, x: basis.cond_exp_dot(i, x, w),
-           "cond_exp_grad_dot": lambda i, x: basis.cond_exp_grad_dot(i, x, w)}
+    ops = all_ops(basis)
     x = np.array([2.0, -0.5, 0.25, 1.75, 3.5, -2.75, 5.0])
     for i in range(grid.n_steps):
         for name, op in ops.items():
@@ -466,6 +471,21 @@ def test_one_state_agrees_bitwise_with_many(family):
             alone = op(i, x[0])
             assert alone.shape == ((1,) if name.endswith("_dot") else (1, k)), name
             np.testing.assert_array_equal(alone, together[:1], err_msg=name)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
+def test_blocks_of_states_agree_bitwise_with_slices(family):
+    # The ops run over blocks of _BLOCK states; slices that straddle the
+    # block boundaries give the same bits as the whole vector.
+    problem = gbm_problem()
+    ops = all_ops(BasisSet(family, 6, problem, GRID))
+    m = 2 * _BLOCK + 3
+    x = problem.initial_state * np.exp(np.random.default_rng(8).normal(0.0, 0.3, m))
+    cuts = [0, 5, _BLOCK - 2, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, m]
+    for i in (0, 4):
+        for name, op in ops.items():
+            pieces = [op(i, x[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            np.testing.assert_array_equal(op(i, x), np.concatenate(pieces), err_msg=name)
 
 
 def test_combination_ops_reject_mismatched_weights():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbsde
@@ -242,6 +242,26 @@ def test_override_precedence(tmp_path):
     assert fields[REPORT_COLUMNS.index("seed")] == "9"
 
 
+def test_overrides_after_a_flag_apply_in_argv_order(tmp_path, capsys):
+    def paths_column(*args):
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--problem", "custom", "--k", "3", "--out", str(out), *args])
+        assert code == 0
+        return out.read_text().splitlines()[1].split(",")[REPORT_COLUMNS.index("M")]
+
+    assert paths_column("paths=70", "--steps", "2", "paths=80") == "80"
+    assert paths_column("--steps", "2", "paths=80", "steps=1") == "80"
+    # a flag still wins over every override
+    assert paths_column("paths=70", "--paths", "60", "--steps", "2", "paths=80") == "60"
+    # a stray token or option after a flag still exits 2
+    assert main(["solve", "--steps", "2", "paths=80", "stray"]) == 2
+    assert "override 'stray': expected KEY=VALUE" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--steps", "2", "paths=80", "--stray"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stray" in capsys.readouterr().err
+
+
 def test_module_run_prints_no_warning(tmp_path):
     # `python -m fbsde.cli` must not find the module already imported by the package
     out = tmp_path / "rows.csv"
@@ -319,9 +339,13 @@ def _exit_code(argv):
         return exc.code
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(overrides=_overrides())
+# an overflow in the path simulation: exit 3, no warning
+@example(overrides={"problem": "call", "mu": "7.11074631974658e+102",
+                    "S0": "7.110746319746581e+102"})
+# on the flags route, KEY=VALUE overrides on both sides of --scheme
+@example(overrides={"problem": "call", "mu": "0.0", "scheme": "later", "K": "1.0"})
 def test_any_overrides_end_in_a_documented_exit_code(overrides):
     # defaults for keys not drawn; drawn sizes also stay at paths <= 500, steps <= 4
     mapping = {"paths": "50", "steps": "2", "k": "3", **overrides}

@@ -3,7 +3,7 @@ import pytest
 
 from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.regress import FactoredDesign, project
+from fbsde.regress import _BLOCK_ROWS, FactoredDesign, project
 from fbsde.simulate import simulate_paths
 
 
@@ -133,6 +133,12 @@ FACTOR_CASES = {
     "well_conditioned": (lambda rng: rng.standard_normal((500, 5)), 0.0, 1e-12),
     "duplicated_column": (duplicated_column_design, 0.0, None),
     "ridge": (lambda rng: rng.standard_normal((200, 4)), 0.5, 1e-12),
+    # Two row blocks of unequal length, and three blocks with ridge rows;
+    # call_step4 (M = 1e5) has six blocks.
+    "two_ragged_blocks": (lambda rng: rng.standard_normal((2 * _BLOCK_ROWS + 7, 5)),
+                          0.0, 1e-12),
+    "ridge_three_blocks": (lambda rng: rng.standard_normal((3 * _BLOCK_ROWS + 1, 4)),
+                           0.5, 1e-12),
     "call_step4": (lambda rng: call_step4_design(), 0.0, 1e-3),
 }
 

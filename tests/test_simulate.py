@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fbsde.model import FbsdeProblem, ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.simulate import _philox_key, counter_normals, euler_states, simulate_paths
+from fbsde.simulate import (NumericalError, _philox_key, counter_normals, euler_states,
+                            simulate_paths)
 
 
 def constant_problem(x0=7.0):
@@ -30,6 +31,14 @@ def test_single_euler_step_with_forced_increment():
     problem = gbm_problem()
     states = euler_states(problem, grid, np.array([[0.1]]))
     assert states[0, 1] == pytest.approx(100.7, abs=1e-12)
+
+
+def test_overflow_fails_the_simulation_step_without_warning():
+    # x0 * (1 + mu*dt) overflows in the second step's drift
+    grid = make_uniform_grid(1.0, 2)
+    problem = gbm_problem(mu=1e110, x0=1e110)
+    with pytest.raises(NumericalError, match="overflow .* at simulation step 1$"):
+        simulate_paths(problem, grid, 50, seed=0)
 
 
 def test_terminal_mean_matches_exact_euler_expectation():
