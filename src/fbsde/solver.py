@@ -186,6 +186,9 @@ def solve_regress_now(
     times, deltas = grid.times, grid.deltas
     states, increments = paths.states, paths.increments
     z0 = float("nan")
+    # Every step's design and its two targets reuse one buffer each.
+    design_rows = np.empty((basis.k, states.shape[0]))
+    target_rows = np.empty((2, states.shape[0]))
 
     def step(i, y):
         nonlocal z0
@@ -198,11 +201,13 @@ def solve_regress_now(
             condition = 1.0
         else:
             x = states[:, i]
-            design = basis.eval(i, x)
+            design = basis.eval(i, x, out=design_rows)
             _require_finite(design, i, "basis values")
             # Both targets are known up front: one factorisation serves both.
-            targets = np.column_stack([y, y * increments[:, i] / deltas[i]])
-            coefs, condition = project(design, targets, ridge=ridge)
+            target_rows[0] = y
+            np.multiply(y, increments[:, i], out=target_rows[1])
+            target_rows[1] /= deltas[i]
+            coefs, condition = project(design, target_rows.T, ridge=ridge)
             e_y = design @ coefs[:, 0]
             z = design @ coefs[:, 1]
 

@@ -1,9 +1,36 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 
+import fbsde
 from fbsde.model import FbsdeProblem, ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.simulate import (NumericalError, _philox_key, counter_normals, euler_states,
-                            simulate_paths)
+from fbsde.simulate import (NumericalError, _ndtri_centred, _philox_key, counter_normals,
+                            euler_states, simulate_paths)
+
+EXPM2 = 0.13533528323661269189  # Cephes' exp(-2): its tails are u <= EXPM2, u > 1 - EXPM2
+
+# scipy.special.ndtri of the midpoint uniform u = (bits + 1/2) * 2**-52, by
+# the 52-bit word, at the edges of Cephes' branches
+NDTRI_EDGES = [
+    (0x0, "-0x1.06b48528cea52p+3"),  # u = 2**-53
+    (0xfffffffffffff, "0x1.06b48528cea52p+3"),  # u = 1 - 2**-53
+    (0x38, "-0x1.e7c542344a945p+2"),  # last u < exp(-32): x >= 8
+    (0x39, "-0x1.e7a027f3bb461p+2"),  # first x < 8
+    (0xfffffffffffc7, "0x1.e7c542344a945p+2"),
+    (0xfffffffffffc6, "0x1.e7a027f3bb461p+2"),
+    (0x22a555477f039, "-0x1.19fd30bc4de02p+0"),  # last u <= exp(-2)
+    (0x22a555477f03a, "-0x1.19fd30bc4ddfep+0"),  # first central u
+    (0xdd5aaab880fc6, "0x1.19fd30bc4de03p+0"),  # last central u
+    (0xdd5aaab880fc7, "0x1.19fd30bc4de09p+0"),  # first u > 1 - exp(-2)
+    (0x7ffffffffffff, "-0x1.40d931ff62706p-52"),  # u = 1/2 - 2**-53
+    (0x8000000000000, "0x1.40d931ff62706p-52"),  # u = 1/2 + 2**-53
+]
 
 
 def constant_problem(x0=7.0):
@@ -112,6 +139,67 @@ def test_counter_normals_golden_values():
         "-0x1.1d474152b11c0p-1", "-0x1.3dd81f000bc48p-1", "0x1.072b2c8bbdd42p-2"]
     z = counter_normals(np.array([2**64 - 1, 0x6E657375], dtype=np.uint64), 123456, 2)
     assert [z[j].hex() for j in (0, 7)] == ["-0x1.ea32cde0e1d6fp-2", "-0x1.9f3f19fd393e6p+0"]
+
+
+def philox_words(n, seed):
+    """n 52-bit words of one Philox stream."""
+    return Philox(key=_philox_key(seed, 5)).random_raw(n) >> np.uint64(12)
+
+
+def midpoint_ndtri(bits):
+    """ndtri of the midpoint uniforms u = (bits + 1/2) * 2**-52; u - 1/2 is
+    exact, a multiple of 2**-53 below 1/2 in size."""
+    return _ndtri_centred((bits + 0.5) * 2.0**-52 - 0.5)
+
+
+def test_ndtri_matches_pinned_values_at_branch_edges():
+    bits = np.array([b for b, _ in NDTRI_EDGES], dtype=np.uint64)
+    assert [z.hex() for z in midpoint_ndtri(bits)] == [h for _, h in NDTRI_EDGES]
+
+
+def test_ndtri_inverts_the_normal_cdf():
+    # A relative error e in z moves w = min(u, 1 - u) = Phi(-|z|) by
+    # e |z| phi(z) / Phi(-|z|) <= e (z^2 + |z|) relative (Mills' ratio), so
+    # with z within 4 ulp and erfc within 2, w comes back within
+    # 2 + 6 (1 + z^2) ulp of w.  The worst case seen is 3.4 (1 + z^2).
+    bits = np.concatenate([philox_words(100_000, 1),
+                           np.array([b for b, _ in NDTRI_EDGES], dtype=np.uint64)])
+    z = midpoint_ndtri(bits)
+    u = (bits + 0.5) * 2.0**-52
+    w = np.minimum(u, 1.0 - u)
+    back = np.array([0.5 * math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
+    assert np.all(np.abs(back - w) <= (2 + 6 * (1 + z * z)) * 2.0**-52 * w)
+    assert np.array_equal(np.sign(z), np.sign(u - 0.5))
+
+
+def test_ndtri_matches_scipy_up_to_tail_rounding():
+    # The tails take two logarithms, log(w) and log(x), which numpy may round
+    # differently from the C library's.  A draw may differ from scipy's only
+    # where one of them does; the central branch takes none.
+    special = pytest.importorskip("scipy.special")
+    low = np.arange(200_000, dtype=np.uint64)  # the whole of x >= 8, and more
+    bits = np.concatenate([philox_words(1_000_000, 2), low, 2**52 - 1 - low])
+    u = (bits + 0.5) * 2.0**-52
+    z, ref = midpoint_ndtri(bits), special.ndtri(u)
+    differ = z != ref
+    assert not np.any(differ[(u > EXPM2) & (u <= 1.0 - EXPM2)])
+    tail = np.flatnonzero((u <= EXPM2) | (u > 1.0 - EXPM2))
+    w = np.minimum(u[tail], 1.0 - u[tail])
+    x = np.sqrt(-2.0 * np.array([math.log(v) for v in w]))
+    same_logs = ((np.log(w) == [math.log(v) for v in w])
+                 & (np.log(x) == [math.log(v) for v in x]))
+    assert not np.any(differ[tail[same_logs]])
+    assert np.count_nonzero(differ) <= 1e-3 * z.size
+    assert np.all(np.abs(z - ref) <= 8 * np.spacing(np.abs(ref)))
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, fbsde, fbsde.cli, fbsde.oracle; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(fbsde.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 5, 10])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fbsde.basis import BasisSet
-from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, make_problem,
+from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, TimeGrid, make_problem,
                          make_uniform_grid)
 from fbsde.oracle import black_scholes
-from fbsde.simulate import simulate_paths
+from fbsde.simulate import PathEnsemble, euler_states, simulate_paths
 from fbsde.solver import (NumericalError, solve_regress_later,
                           solve_regress_now)
 
@@ -165,6 +165,37 @@ def test_later_bias_is_first_order_when_z_drives_y():
         # the seed panel resolves each gap, and each doubling shrinks the bias
         assert 3 * max(errors[j], errors[j + 1]) < abs(biases[j] - biases[j + 1]), errors
         assert 1.5 <= biases[j] / biases[j + 1] <= 3.0, biases
+
+
+def coarsen(problem, paths, factor):
+    """The ensemble on every ``factor``-th time point of ``paths``' grid,
+    driven by the sums of consecutive increments: the same Brownian paths
+    seen on a coarser grid."""
+    m, n = paths.increments.shape
+    grid = TimeGrid(paths.grid.times[::factor])
+    increments = paths.increments.reshape(m, n // factor, factor).sum(axis=2)
+    return PathEnsemble(states=euler_states(problem, grid, increments),
+                        increments=increments, grid=grid, seed=paths.seed)
+
+
+def test_now_bias_is_first_order_on_coupled_grids():
+    # theta = 0.2 as above.  The now scheme's seed-to-seed spread hides its
+    # bias on independent ensembles; on grids N = 5, 10, 20 that share each
+    # seed's Brownian paths the spread cancels in the bias differences
+    # b_N - b_2N, which should halve with each doubling of N.
+    problem = call_problem(mu=0.05, sigma=0.2)
+    gaps = []
+    for seed in range(1, 9):
+        fine = simulate_paths(problem, make_uniform_grid(1.0, 20), 30_000, seed)
+        y0 = [solve_regress_now(problem, paths.grid,
+                                BasisSet("laguerre", 6, problem, paths.grid), paths).y0
+              for paths in (coarsen(problem, fine, 4), coarsen(problem, fine, 2), fine)]
+        gaps.append(np.diff(y0))
+    means = -np.mean(gaps, axis=0)  # b_N - b_2N for N = 5, 10
+    errors = np.std(gaps, axis=0, ddof=1) / np.sqrt(len(gaps))
+    # the seed panel resolves each gap, and the second is half the first
+    assert np.all(3 * errors < np.abs(means)), (means, errors)
+    assert 1.5 <= means[0] / means[1] <= 3.0, means
 
 
 def test_combination_ops_are_no_less_accurate_than_matrix_forms():
