@@ -10,6 +10,13 @@ of the blocks are factored once more.  A design with one block (M below
 bits as a single Householder QR.  A singular-value decomposition of R
 then gives the minimal-norm solution for rank-deficient designs.
 
+The design is copied once, block by block, into one array of k * M
+values, and LAPACK ``dgeqrf`` factors each block in place there, with no
+further per-block copy.  It is called through ``numpy.linalg.lapack_lite``,
+a private-but-present numpy module; it leaves exactly the reflectors, tau
+and R that ``numpy.linalg.qr`` returns in raw mode, and
+tests/test_regress.py pins that contract bit for bit.
+
 A solve applies each block's reflectors to its own slice of the target,
 gathers the leading k entries of every block and applies the top-level
 reflectors to them.  No normal equations are formed, so the conditioning
@@ -21,6 +28,7 @@ through the reported condition estimate rather than as an error.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = ["FactoredDesign", "project"]
 
@@ -31,17 +39,29 @@ _BLOCK_ROWS = 16_384
 
 
 class _Householder:
-    """Householder QR of one block: ``r`` is its triangular factor, and
-    ``apply`` maps t to Q^T t in place."""
+    """Householder QR of one block, factored in place: ``h`` is a
+    C-contiguous (k, rows) float64 array, which is LAPACK's column-major
+    rows x k block.  ``r`` is its triangular factor, and ``apply`` maps t
+    to Q^T t in place."""
 
-    def __init__(self, a: np.ndarray) -> None:
-        # The reflectors, one per row (LAPACK's column storage, transposed;
-        # contiguous rows keep each dot product on the BLAS kernel), with
-        # the diagonal set to their implicit leading 1.
-        h, self._tau = np.linalg.qr(a, mode="raw")
-        self._h = np.ascontiguousarray(h)
-        self.r = np.triu(self._h.T[:self._tau.size])
-        np.fill_diagonal(self._h, 1.0)
+    def __init__(self, h: np.ndarray) -> None:
+        k, rows = h.shape
+        lda = max(1, rows)
+        self._tau = np.empty(min(k, rows))
+        # One workspace query, then the factorisation, as numpy's QR runs them.
+        work = np.empty(1)
+        lapack_lite.dgeqrf(rows, k, h, lda, self._tau, work, -1, 0)
+        lwork = max(1, k, int(work[0]))
+        work = np.empty(lwork)
+        info = lapack_lite.dgeqrf(rows, k, h, lda, self._tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+        # The reflectors, one per row (contiguous rows keep each dot product
+        # on the BLAS kernel), with the diagonal set to their implicit
+        # leading 1.
+        self._h = h
+        self.r = np.triu(h.T[:self._tau.size])
+        np.fill_diagonal(h, 1.0)
 
     def apply(self, t: np.ndarray) -> None:
         # One Householder reflector at a time.
@@ -56,9 +76,11 @@ class FactoredDesign:
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
     regression states; ``ridge`` adds Tikhonov rows sqrt(ridge)*I.  The
-    design is copied once, block by block; the caller may drop it
-    afterwards.  ``condition`` is s_max/s_min of the solved matrix (ridge
-    rows included), inf for an exactly singular one.
+    design is copied once, block by block, into one array of k * M values
+    in which LAPACK factors each block in place; the caller's design is
+    never written, and the caller may drop it afterwards.  ``condition``
+    is s_max/s_min of the solved matrix (ridge rows included), inf for an
+    exactly singular one.
     """
 
     def __init__(self, design, ridge: float = 0.0) -> None:
@@ -70,13 +92,19 @@ class FactoredDesign:
         self._rows, k = a.shape
         n_blocks = max(1, self._rows // _BLOCK_ROWS)
         self._starts = [b * self._rows // n_blocks for b in range(n_blocks + 1)]
-        self._blocks = [_Householder(a[lo:hi])
-                        for lo, hi in zip(self._starts, self._starts[1:])]
+        h = np.empty(k * self._rows)
+        self._blocks = []
+        for lo, hi in zip(self._starts, self._starts[1:]):
+            block = h[k * lo:k * hi].reshape(k, hi - lo)
+            block[...] = a[lo:hi].T
+            self._blocks.append(_Householder(block))
         if n_blocks == 1:
             self._top = None
             r = self._blocks[0].r
         else:
-            self._top = _Householder(np.vstack([block.r for block in self._blocks]))
+            # The stacked R factors, copied into LAPACK's column-major layout.
+            stacked = np.vstack([block.r for block in self._blocks])
+            self._top = _Householder(stacked.T.copy())
             r = self._top.r
         self._n_reflectors = r.shape[0]
         solved_rows = self._rows

@@ -94,8 +94,10 @@ def _sweep(scheme, problem, grid, basis, paths, step, initial_z) -> SolverResult
                 y, record = step(i, y)
         except FloatingPointError as exc:
             raise NumericalError(f"{exc} at step {i}") from exc
-        _require_finite(y, i, "fitted values")
+        # One reduction both records and checks: np.max propagates NaN and inf.
         record["max_abs_y"] = float(np.max(np.abs(y)))
+        if not np.isfinite(record["max_abs_y"]):
+            raise NumericalError(f"non-finite fitted values at step {i}")
         for name, value in record.items():
             diagnostics.setdefault(name, [None] * N)[i] = value
 
