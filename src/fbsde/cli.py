@@ -209,6 +209,12 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
             make_uniform_grid(problem.horizon, n_steps)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"problem {name!r}: {exc}") from None
+    # A path array numpy cannot even describe; one merely too large for
+    # memory takes the MemoryError route when it is allocated.
+    m_paths, n_times = max(config.paths), max(config.steps) + 1
+    if m_paths * n_times * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"key 'paths': a {m_paths} x {n_times} float64 path array "
+                          "is larger than numpy can address")
     return config
 
 
@@ -332,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as handle:
                     mapping.update(parse_config_text(handle.read()))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
                 return 2
         for item in [*args.overrides, *leftover]:

@@ -147,8 +147,9 @@ def solve_regress_later(
         _require_finite(f_next, i, "driver values")
         beta = fit.solve(f_next)
         condition = fit.condition
-        # Free the reflectors and pathwise fields before cond_exp_dot
-        # allocates its moment buffers: this keeps the sweep's peak down.
+        # Free the factored design (every block's Q^T) and the pathwise
+        # fields before cond_exp_dot allocates its moment buffers: this
+        # keeps the sweep's peak down.
         del fit, f_next, z_next
 
         y = basis.cond_exp_dot(i, states[:, i], alpha + deltas[i] * beta)

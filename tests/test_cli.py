@@ -192,6 +192,17 @@ def test_exit_code_on_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"problem=call\nK=\xff\n")
+    out = tmp_path / "rows.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_code_on_numerical_failure(tmp_path, capsys):
     # diffusion large enough to overflow the basis powers to inf
     out = tmp_path / "x.csv"
@@ -346,6 +357,8 @@ def _exit_code(argv):
                     "S0": "7.110746319746581e+102"})
 # on the flags route, KEY=VALUE overrides on both sides of --scheme
 @example(overrides={"problem": "call", "mu": "0.0", "scheme": "later", "K": "1.0"})
+# a path array numpy cannot address: exit 2 before any simulation
+@example(overrides={"problem": "put", "paths": "100000000000000000000"})
 def test_any_overrides_end_in_a_documented_exit_code(overrides):
     # defaults for keys not drawn; drawn sizes also stay at paths <= 500, steps <= 4
     mapping = {"paths": "50", "steps": "2", "k": "3", **overrides}

@@ -3,7 +3,7 @@ import pytest
 
 from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.regress import _BLOCK_ROWS, FactoredDesign, project
+from fbsde.regress import _BLOCK_ROWS, FactoredDesign, _thin_qr, project
 from fbsde.simulate import simulate_paths
 
 
@@ -183,67 +183,46 @@ def test_factorisation_matches_lstsq_for_two_targets(case):
 # ------------------------------------------------- the LAPACK contract
 
 
-class ReferenceHouseholder:
-    """One block's Householder QR through np.linalg.qr(mode="raw"): the
-    reflectors, tau and R that in-place dgeqrf must leave."""
-
-    def __init__(self, a):
-        h, self.tau = np.linalg.qr(a, mode="raw")
-        self.h = np.ascontiguousarray(h)
-        self.r = np.triu(self.h.T[:self.tau.size])
-        np.fill_diagonal(self.h, 1.0)
-
-    def apply(self, t):
-        for j in range(self.tau.size):
-            v = self.h[j, j:]
-            t[j:] -= (self.tau[j] * (v @ t[j:])) * v
-
-
-class ReferenceTSQR:
-    """FactoredDesign's two-level QR, rank rule and solve, with every QR
-    taken by np.linalg.qr: the same bits are expected from dgeqrf."""
+class ReferenceFit:
+    """FactoredDesign's block QR, rank rule and solve, with each block's QR
+    taken by np.linalg.qr(mode="reduced"): the same bits are expected from
+    in-place dgeqrf and dorgqr."""
 
     def __init__(self, design, ridge):
         a = np.asarray(design, dtype=np.float64)
         self.rows, k = a.shape
         n_blocks = max(1, self.rows // _BLOCK_ROWS)
         self.starts = [b * self.rows // n_blocks for b in range(n_blocks + 1)]
-        self.blocks = [ReferenceHouseholder(a[lo:hi])
-                       for lo, hi in zip(self.starts, self.starts[1:])]
-        self.top = None
-        r = self.blocks[0].r
-        if n_blocks > 1:
-            self.top = ReferenceHouseholder(np.vstack([b.r for b in self.blocks]))
-            r = self.top.r
-        self.n_reflectors = r.shape[0]
+        factors = [np.linalg.qr(a[lo:hi], mode="reduced")
+                   for lo, hi in zip(self.starts, self.starts[1:])]
+        # Q^T stored row by row, as FactoredDesign keeps it
+        self.qt = [np.ascontiguousarray(q.T) for q, _ in factors]
+        self.r = [r for _, r in factors]
+        r = np.vstack(self.r)
+        stacked_rows = r.shape[0]
         solved_rows = self.rows
         if ridge > 0.0:
             r = np.vstack([r, np.sqrt(ridge) * np.eye(k)])
             solved_rows += k
         u, s, self.vt = np.linalg.svd(r, full_matrices=False)
-        self.ut = u[:self.n_reflectors].T
+        self.ut = u[:stacked_rows].T
         keep = s > solved_rows * np.finfo(np.float64).eps * s[0]
         self.inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         self.condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
 
     def solve(self, target):
-        qt = np.array(target, dtype=np.float64)
-        for block, lo, hi in zip(self.blocks, self.starts, self.starts[1:]):
-            block.apply(qt[lo:hi])
-        if self.top is not None:
-            qt = np.concatenate([qt[lo:lo + b.r.shape[0]]
-                                 for b, lo in zip(self.blocks, self.starts)])
-            self.top.apply(qt)
-        return self.vt.T @ ((self.ut @ qt[:self.n_reflectors]) * self.inv_s)
+        blocks = zip(self.qt, self.starts, self.starts[1:])
+        qt = np.concatenate([qt_b @ target[lo:hi] for qt_b, lo, hi in blocks])
+        return self.vt.T @ ((self.ut @ qt) * self.inv_s)
 
 
 CONTRACT_CASES = {
     **{name: (build, ridge) for name, (build, ridge, _) in FACTOR_CASES.items()},
-    # fewer rows than columns: fewer reflectors than columns
+    # fewer rows than columns: a thin Q with fewer columns than the design
     "one_row": (lambda rng: rng.standard_normal((1, 5)), 0.0),
     "k_minus_one_rows": (lambda rng: rng.standard_normal((4, 5)), 0.0),
     "k_minus_one_rows_ridge": (lambda rng: rng.standard_normal((4, 5)), 0.5),
-    # the smallest design with a top level: two blocks of exactly _BLOCK_ROWS
+    # the smallest design with two blocks: each of exactly _BLOCK_ROWS
     "two_exact_blocks": (lambda rng: rng.standard_normal((2 * _BLOCK_ROWS, 6)), 0.0),
 }
 
@@ -255,7 +234,13 @@ def test_in_place_dgeqrf_matches_numpy_qr_bit_for_bit(case):
     original = np.array(build(rng))
     rows = original.shape[0]
     targets = np.column_stack([np.cos(original[:, 0]), rng.standard_normal(rows)])
-    reference = ReferenceTSQR(original, ridge)
+    reference = ReferenceFit(original, ridge)
+    # each block's Q^T and R, as np.linalg.qr returns them
+    blocks = zip(reference.starts, reference.starts[1:], reference.qt, reference.r)
+    for lo, hi, qt, r in blocks:
+        block = original[lo:hi].T.copy()
+        np.testing.assert_array_equal(_thin_qr(block), r)
+        np.testing.assert_array_equal(block[:r.shape[0]], qt)
     want = [reference.solve(target) for target in targets.T]
     # row-major, and column-major as the solver's transposed buffers are
     for design in (original.copy(), np.asfortranarray(original)):
@@ -266,3 +251,17 @@ def test_in_place_dgeqrf_matches_numpy_qr_bit_for_bit(case):
         for target, coefficients in zip(targets.T, want):
             np.testing.assert_array_equal(fit.solve(target), coefficients)
         np.testing.assert_array_equal(fit.solve(targets), np.column_stack(want))
+
+
+@pytest.mark.parametrize("rows", [500, 3 * _BLOCK_ROWS + 1])
+def test_solve_never_writes_its_target(rows):
+    # one block, and three
+    rng = np.random.default_rng(13)
+    fit = FactoredDesign(rng.standard_normal((rows, 4)))
+    for shape in ((rows,), (rows, 2)):
+        original = rng.standard_normal(shape)
+        target = original.copy()
+        target.setflags(write=False)
+        got = fit.solve(target)
+        np.testing.assert_array_equal(target, original)
+        np.testing.assert_array_equal(got, fit.solve(original.copy()))
