@@ -10,7 +10,7 @@ from .oracle import (NestedEstimate, ReferenceValue, arctan_solution,
                      black_scholes, nested_mc_y0, reference_for)
 from .regress import project
 from .simulate import PathEnsemble, euler_states, simulate_paths
-from .solver import (NumericalError, SolverResult, solve_regress_later,
+from .solver import (NumericalError, SolverResult, solve, solve_regress_later,
                      solve_regress_now)
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "simulate_paths",
     "NumericalError",
     "SolverResult",
+    "solve",
     "solve_regress_later",
     "solve_regress_now",
 ]

@@ -165,6 +165,10 @@ class BasisSet:
             raise IndexError(f"step index {i} out of range [0, {self.grid.n_steps})")
         return i
 
+    def affine_map(self, i: int) -> tuple[float, float]:
+        """(shift_i, scale_i) of u = (x - shift_i) / scale_i; equal maps, equal bits."""
+        return float(self._shift[self._check_step(i)]), float(self._scale[i])
+
     def _scaled(self, i: int, x) -> np.ndarray:
         """The states as scaled values u = (x - shift_i) / scale_i."""
         u = self._as_vector(x) - self._shift[i]

@@ -9,11 +9,12 @@ accept comma-separated lists, which turn the run into a sweep over the
 cartesian product (deterministic order: paths, steps, k, seed).
 
 One CSV row is emitted per (sweep point, scheme).  With scheme=both, both
-schemes consume the same path ensemble, so their rows differ only by the
-scheme and are pairable by (seed, paths, steps, k).  The runtime_ms column
-is left empty unless --timings is given, keeping default output
-byte-reproducible; reference columns are empty for problems without a
-closed form.
+schemes consume the same path ensemble in one lockstep sweep, so their
+rows differ only by the scheme and are pairable by (seed, paths, steps, k).
+The runtime_ms column, left empty unless --timings is given to keep default
+output byte-reproducible, is the set-up plus the row's own scheme's steps;
+a design both schemes use is charged to the one that factored it.
+Reference columns are empty for problems without a closed form.
 
 Exit codes: 0 success, 2 configuration error (including non-finite or
 out-of-range values, rejected before any simulation) or a run too large
@@ -36,7 +37,7 @@ from .model import (CATALOG_DEFAULTS, ProblemCatalogEntry, make_problem,
                     make_uniform_grid)
 from .oracle import reference_for
 from .simulate import _validate_seed, simulate_paths
-from .solver import NumericalError, solve_regress_later, solve_regress_now
+from .solver import NumericalError, solve
 
 __all__ = [
     "RunConfig",
@@ -205,10 +206,13 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
     try:
         problem = make_problem(config.problem)
         reference_for(config.problem)
-        for n_steps in config.steps:
-            make_uniform_grid(problem.horizon, n_steps)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"problem {name!r}: {exc}") from None
+    for n_steps in config.steps:  # the horizon is valid: only N can fail
+        try:
+            make_uniform_grid(problem.horizon, n_steps)
+        except ValueError as exc:
+            raise ConfigError(f"key 'steps': {exc}") from None
     # A path array numpy cannot even describe; one merely too large for
     # memory takes the MemoryError route when it is allocated.
     m_paths, n_times = max(config.paths), max(config.steps) + 1
@@ -226,8 +230,8 @@ def _log10_err(err: float, ref: float) -> tuple[float, str]:
 
 
 def run(config: RunConfig) -> list[ReportRow]:
-    """Execute the run: one ensemble per sweep point (shared across schemes
-    when scheme=both), one row per scheme."""
+    """Execute the run: one ensemble and one solver call per sweep point
+    (both schemes in lockstep when scheme=both), one row per scheme."""
     problem = make_problem(config.problem)
     reference = reference_for(config.problem)
     schemes = ("later", "now") if config.scheme == "both" else (config.scheme,)
@@ -238,21 +242,14 @@ def run(config: RunConfig) -> list[ReportRow]:
         grid = make_uniform_grid(problem.horizon, n_steps)
         basis = BasisSet(config.family, k, problem, grid)
         ensemble = simulate_paths(problem, grid, m_paths, seed)
-        for scheme in schemes:
-            if scheme == "later":
-                result = solve_regress_later(problem, grid, basis, ensemble,
-                                             ridge=config.ridge)
-            else:
-                result = solve_regress_now(problem, grid, basis, ensemble,
-                                           picard_iters=config.picard_iters,
-                                           picard_tol=config.picard_tol,
-                                           ridge=config.ridge)
-            rows.append(_make_row(config, scheme, m_paths, n_steps, k, seed,
-                                  result, reference))
+        results = solve(problem, grid, basis, ensemble, schemes, ridge=config.ridge,
+                        picard_iters=config.picard_iters, picard_tol=config.picard_tol)
+        rows += [_make_row(config, m_paths, n_steps, k, seed, result, reference)
+                 for result in results]
     return rows
 
 
-def _make_row(config, scheme, m_paths, n_steps, k, seed, result, reference) -> ReportRow:
+def _make_row(config, m_paths, n_steps, k, seed, result, reference) -> ReportRow:
     if reference is None:
         err = dict(y0_ref=None, z0_ref=None, abs_err_y=None, abs_err_z=None,
                    log10_rel_err_y=None, log10_rel_err_z=None, err_basis="")
@@ -267,7 +264,7 @@ def _make_row(config, scheme, m_paths, n_steps, k, seed, result, reference) -> R
                    log10_rel_err_y=log_y, log10_rel_err_z=log_z,
                    err_basis=basis_label)
     return ReportRow(
-        scheme=scheme, problem=config.problem.name, M=m_paths, N=n_steps, k=k,
+        scheme=result.scheme, problem=config.problem.name, M=m_paths, N=n_steps, k=k,
         family=config.family, seed=seed, y0_hat=result.y0, z0_hat=result.z0,
         max_condition=result.max_condition, runtime_ms=result.runtime_ms, **err,
     )

@@ -129,16 +129,17 @@ class FactoredDesign:
         return self._vt.T @ ((self._ut @ qt) * self._inv_s)
 
 
-def project(design, target, ridge: float = 0.0) -> tuple[np.ndarray, float]:
+def project(design, target, ridge: float = 0.0) -> tuple[np.ndarray, float, FactoredDesign]:
     """Minimal-norm least-squares fit of target on the design columns.
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
     regression states, and ``target`` has length M (or shape (M, n) for n
     targets on one factorisation).
 
-    Returns (coefficients, condition_estimate) where the condition estimate
-    is s_max/s_min of the solved matrix (inf for an exactly singular
-    design).  ``ridge`` adds Tikhonov rows sqrt(ridge)*I, default off.
+    Returns (coefficients, condition_estimate, factored): s_max/s_min of the
+    solved matrix (inf for an exactly singular design) and the
+    ``FactoredDesign``, on which a further target solves as in a fresh call.
+    ``ridge`` adds Tikhonov rows sqrt(ridge)*I, default off.
     """
     factored = FactoredDesign(design, ridge=ridge)
-    return factored.solve(target), factored.condition
+    return factored.solve(target), factored.condition, factored

@@ -14,8 +14,11 @@ E[Y_{t_{i+1}} | F_{t_i}] and the increment-weighted expectation defining Z
 by regressions on the time-t_i design and resolves the implicit Y equation
 with a short Picard iteration.
 
-Both schemes run the same sweep over one ensemble and differ only in the
-step rule that maps the values at t_{i+1} to those at t_i.
+Both schemes are step rules, from the values at t_{i+1} to those at t_i,
+of one backward loop; ``solve`` runs them in lockstep, the later step j-1
+and then the now step j at each time column j, sharing the last design and
+its factorisation: the now step j design, e_j at X_{t_j}, is the later step
+j-1 design whenever the basis maps of j-1 and j agree (laguerre, monomial).
 """
 
 from __future__ import annotations
@@ -27,15 +30,18 @@ import numpy as np
 
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
-from .regress import FactoredDesign, project
+from .regress import project
 from .simulate import NumericalError, PathEnsemble
 
 __all__ = [
     "SolverResult",
     "NumericalError",
+    "solve",
     "solve_regress_later",
     "solve_regress_now",
 ]
+
+SCHEMES = ("later", "now")
 
 
 @dataclass(eq=False)
@@ -45,7 +51,8 @@ class SolverResult:
     ``diagnostics`` maps each field to a list of N values, entry i for step
     i: ``condition`` and ``max_abs_y`` for both schemes, ``alpha`` and
     ``beta`` for the later scheme, ``picard_iterations`` and
-    ``picard_gap`` for the now scheme.
+    ``picard_gap`` for the now scheme.  ``runtime_ms`` is the set-up plus
+    this scheme's own steps, which include any shared design they factored.
     """
 
     y0: float
@@ -64,82 +71,41 @@ def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
         raise NumericalError(f"non-finite {what} at step {step}")
 
 
-def _sweep(scheme, problem, grid, basis, paths, step, initial_z) -> SolverResult:
-    """Shared backward sweep.
+class _SharedDesign:
+    """The last design and its factorisation, keyed by the time column and
+    the basis index's affine map, which fix its bits.  It is dropped once
+    every rule has read it or another key is asked for, so a rule alone
+    frees it after every step; the (k, M) buffer holds its design."""
 
-    ``step(i, y)`` maps the pathwise values at t_{i+1} to those at t_i and
-    returns them with the step's diagnostic fields; ``initial_z(diagnostics)``
-    reads z0 off the step-0 outcome.  y0 is the step-0 value, which every
-    path shares, since all start at x0.
-    """
-    started = time.perf_counter()
-    if paths.grid != grid:
-        raise ValueError("path ensemble was generated on a different grid")
-    if basis.grid != grid:
-        raise ValueError("basis transition was built on a different grid")
-    if basis.problem is not problem:
-        raise ValueError("basis transition was built for a different problem")
-    if not np.all(paths.states[:, 0] == problem.initial_state):
-        raise ValueError("path ensemble does not start at the problem's initial state")
+    def __init__(self, basis: BasisSet, states: np.ndarray, ridge: float, users: int):
+        self._basis, self._states, self._ridge, self._users = basis, states, ridge, users
+        self._rows = np.empty((basis.k, states.shape[0]))
+        self._key, self._fit, self._reads = None, None, 0
 
-    N = grid.n_steps
-    y = np.asarray(problem.terminal(paths.states[:, N]), dtype=np.float64)
-    _require_finite(y, N, "terminal values")
-    diagnostics: dict = {}
-    for i in range(N - 1, -1, -1):
-        # An overflow, invalid value or division by zero fails the step at
-        # once, with the operation in the message, and never warns.
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                y, record = step(i, y)
-        except FloatingPointError as exc:
-            raise NumericalError(f"{exc} at step {i}") from exc
-        # One reduction both records and checks: np.max propagates NaN and inf.
-        record["max_abs_y"] = float(np.max(np.abs(y)))
-        if not np.isfinite(record["max_abs_y"]):
-            raise NumericalError(f"non-finite fitted values at step {i}")
-        for name, value in record.items():
-            diagnostics.setdefault(name, [None] * N)[i] = value
-
-    y0, z0 = float(y[0]), initial_z(diagnostics)
-    if not (np.isfinite(y0) and np.isfinite(z0)):
-        raise NumericalError("non-finite initial values at step 0")
-    return SolverResult(y0=y0, z0=z0, scheme=scheme,
-                        runtime_ms=(time.perf_counter() - started) * 1e3,
-                        diagnostics=diagnostics)
+    def fit(self, i: int, j: int, targets):
+        """Coefficients of ``targets`` on basis i at column j, the fit, the design."""
+        key = (j, self._basis.affine_map(i))
+        if key != self._key:
+            self._key = self._fit = None
+            design = self._basis.eval(i, self._states[:, j], out=self._rows)
+            _require_finite(design, i, "basis values")
+            coefs, _, self._fit = project(design, targets, ridge=self._ridge)
+            self._key, self._reads = key, 0
+        else:
+            coefs = self._fit.solve(targets)
+        fit, self._reads = self._fit, self._reads + 1
+        if self._reads == self._users:
+            self._key = self._fit = None
+        return coefs, fit, self._rows.T
 
 
-def solve_regress_later(
-    problem: FbsdeProblem,
-    grid: TimeGrid,
-    basis: BasisSet,
-    paths: PathEnsemble,
-    ridge: float = 0.0,
-) -> SolverResult:
-    """Run the regression-later backward sweep on a simulated ensemble.
-
-    Per step i (from N-1 down to 0): project the pathwise next-time value
-    onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
-    pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
-    the fitted value at t_i through the exact conditional expectation.
-    Only one combination of the basis is needed at a time, so Z and the
-    expectation come from the basis operations on coefficient vectors
-    (``grad_dot``, ``cond_exp_dot``), and every step's design is written
-    into one (k, M) buffer: no other (M, k) array is formed.
-    The initial pair is read off the step-0 fit:
-    y0 = (alpha + beta*delta_0) . cond_exp(0, x0), the step-0 value, and
-    z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
-    """
+def _later_rule(problem, grid, basis, paths, designs):
+    """Step rule and z0 read-off of the regression-later scheme."""
     times, deltas, states = grid.times, grid.deltas, paths.states
-    design_rows = np.empty((basis.k, states.shape[0]))
 
     def step(i, target):
         x_next = states[:, i + 1]
-        design = basis.eval(i, x_next, out=design_rows)
-        _require_finite(design, i, "basis values")
-        fit = FactoredDesign(design, ridge=ridge)
-        alpha = fit.solve(target)
-
+        alpha, fit, _ = designs.fit(i, i + 1, target)
         z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(
             problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
@@ -161,37 +127,14 @@ def solve_regress_later(
         sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
         return float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
 
-    return _sweep("later", problem, grid, basis, paths, step, initial_z)
+    return step, initial_z
 
 
-def solve_regress_now(
-    problem: FbsdeProblem,
-    grid: TimeGrid,
-    basis: BasisSet,
-    paths: PathEnsemble,
-    picard_iters: int = 5,
-    picard_tol: float = 1e-10,
-    ridge: float = 0.0,
-) -> SolverResult:
-    """Run the implicit backward sweep with regression-now conditional
-    expectations on the same ensemble interface as the later scheme.
-
-    Per step i >= 1: regress the pathwise next-time values and their
-    increment-weighted counterparts on the basis at X_{t_i}, then solve the
-    implicit equation y = E_hat[Y_{t_{i+1}}] + delta_i * f(t_i, x, y, z) by
-    Picard iteration (delta * Lipschitz(f) < 1 makes it a contraction; a
-    capped iteration that stops short is reported, not raised).  At i = 0
-    the sigma-algebra is trivial and both regressions collapse to sample
-    means.
-    """
-    if picard_iters < 1:
-        raise ValueError("picard_iters must be at least 1")
+def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
+    """Step rule and z0 read-off of the regression-now scheme."""
     times, deltas = grid.times, grid.deltas
     states, increments = paths.states, paths.increments
     z0 = float("nan")
-    # Every step's design and its two targets reuse one buffer each.
-    design_rows = np.empty((basis.k, states.shape[0]))
-    target_rows = np.empty((2, states.shape[0]))
 
     def step(i, y):
         nonlocal z0
@@ -204,13 +147,14 @@ def solve_regress_now(
             condition = 1.0
         else:
             x = states[:, i]
-            design = basis.eval(i, x, out=design_rows)
-            _require_finite(design, i, "basis values")
             # Both targets are known up front: one factorisation serves both.
-            target_rows[0] = y
-            np.multiply(y, increments[:, i], out=target_rows[1])
-            target_rows[1] /= deltas[i]
-            coefs, condition = project(design, target_rows.T, ridge=ridge)
+            targets = np.empty((2, y.size))
+            targets[0] = y
+            np.multiply(y, increments[:, i], out=targets[1])
+            targets[1] /= deltas[i]
+            coefs, fit, design = designs.fit(i, i, targets.T)
+            condition = fit.condition
+            del targets, fit
             e_y = design @ coefs[:, 0]
             z = design @ coefs[:, 1]
 
@@ -228,4 +172,101 @@ def solve_regress_now(
         return current, {"condition": condition, "picard_iterations": iterations,
                          "picard_gap": gap}
 
-    return _sweep("now", problem, grid, basis, paths, step, lambda diagnostics: z0)
+    return step, lambda diagnostics: z0
+
+
+def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEnsemble,
+          schemes=SCHEMES, ridge: float = 0.0, picard_iters: int = 5,
+          picard_tol: float = 1e-10) -> list[SolverResult]:
+    """One result per scheme, in the given order, from one lockstep sweep over
+    the time columns j = N down to 0, where the later scheme takes its step
+    j-1 and the now scheme its step j: each result is bit for bit its
+    scheme's alone, and the first failing (step, scheme) in loop order fails
+    the sweep.  y0 is the step-0 value of every path."""
+    started = time.perf_counter()
+    if paths.grid != grid:
+        raise ValueError("path ensemble was generated on a different grid")
+    if basis.grid != grid:
+        raise ValueError("basis transition was built on a different grid")
+    if basis.problem is not problem:
+        raise ValueError("basis transition was built for a different problem")
+    if not np.all(paths.states[:, 0] == problem.initial_state):
+        raise ValueError("path ensemble does not start at the problem's initial state")
+    if not schemes or any(scheme not in SCHEMES for scheme in schemes):
+        raise ValueError(f"schemes must be drawn from {SCHEMES}, got {schemes!r}")
+    if "now" in schemes and picard_iters < 1:
+        raise ValueError("picard_iters must be at least 1")
+
+    designs = _SharedDesign(basis, paths.states, ridge, len(schemes))
+    rules = [_later_rule(problem, grid, basis, paths, designs) if scheme == "later"
+             else _now_rule(problem, grid, paths, designs, picard_iters, picard_tol)
+             for scheme in schemes]
+    N = grid.n_steps
+    ys = [np.asarray(problem.terminal(paths.states[:, N]), dtype=np.float64)] * len(rules)
+    _require_finite(ys[0], N, "terminal values")
+    diagnostics: list[dict] = [{} for _ in rules]
+    spent = [time.perf_counter() - started] * len(rules)
+    for j in range(N, -1, -1):
+        for r, (step, _) in enumerate(rules):
+            i = j - 1 if schemes[r] == "later" else j
+            if not 0 <= i < N:
+                continue
+            began = time.perf_counter()
+            # An overflow, invalid value or division by zero fails the step
+            # at once, with the operation in the message, and never warns.
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    ys[r], record = step(i, ys[r])
+            except FloatingPointError as exc:
+                raise NumericalError(f"{exc} at step {i}") from exc
+            # One reduction both records and checks: np.max propagates NaN and inf.
+            record["max_abs_y"] = float(np.max(np.abs(ys[r])))
+            if not np.isfinite(record["max_abs_y"]):
+                raise NumericalError(f"non-finite fitted values at step {i}")
+            for name, value in record.items():
+                diagnostics[r].setdefault(name, [None] * N)[i] = value
+            spent[r] += time.perf_counter() - began
+
+    results = [SolverResult(float(y[0]), initial_z(record), scheme, seconds * 1e3, record)
+               for scheme, (_, initial_z), y, record, seconds
+               in zip(schemes, rules, ys, diagnostics, spent)]
+    if not all(np.isfinite(result.y0) and np.isfinite(result.z0) for result in results):
+        raise NumericalError("non-finite initial values at step 0")
+    return results
+
+
+def solve_regress_later(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
+                        paths: PathEnsemble, ridge: float = 0.0) -> SolverResult:
+    """Run the regression-later backward sweep on a simulated ensemble.
+
+    Per step i (from N-1 down to 0): project the pathwise next-time value
+    onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
+    pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
+    the fitted value at t_i through the exact conditional expectation.
+    Only one combination of the basis is needed at a time, so Z and the
+    expectation come from the basis operations on coefficient vectors
+    (``grad_dot``, ``cond_exp_dot``), and every step's design is written
+    into one (k, M) buffer: no other (M, k) array is formed.
+    The initial pair is read off the step-0 fit:
+    y0 = (alpha + beta*delta_0) . cond_exp(0, x0), the step-0 value, and
+    z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
+    """
+    return solve(problem, grid, basis, paths, ("later",), ridge=ridge)[0]
+
+
+def solve_regress_now(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
+                      paths: PathEnsemble, picard_iters: int = 5, picard_tol: float = 1e-10,
+                      ridge: float = 0.0) -> SolverResult:
+    """Run the implicit backward sweep with regression-now conditional
+    expectations on the same ensemble interface as the later scheme.
+
+    Per step i >= 1: regress the pathwise next-time values and their
+    increment-weighted counterparts on the basis at X_{t_i}, then solve the
+    implicit equation y = E_hat[Y_{t_{i+1}}] + delta_i * f(t_i, x, y, z) by
+    Picard iteration (delta * Lipschitz(f) < 1 makes it a contraction; a
+    capped iteration that stops short is reported, not raised).  At i = 0
+    the sigma-algebra is trivial and both regressions collapse to sample
+    means.
+    """
+    return solve(problem, grid, basis, paths, ("now",), ridge=ridge,
+                 picard_iters=picard_iters, picard_tol=picard_tol)[0]

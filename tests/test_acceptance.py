@@ -154,7 +154,7 @@ def test_criterion_6_exactness_suite():
     rng = np.random.default_rng(77)
     design = rng.standard_normal((200, 5))
     c0 = rng.standard_normal(5)
-    coeffs, _ = project(design, design @ c0)
+    coeffs, _, _ = project(design, design @ c0)
     checks.append(float(np.max(np.abs(coeffs - c0))) <= 1e-10 * max(1.0, float(np.max(np.abs(c0)))))
 
     # basis gradient and conditional-expectation gradient vs central

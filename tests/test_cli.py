@@ -88,6 +88,17 @@ def test_sweep_with_both_schemes_row_count():
     assert [r.M for r in rows] == [500, 500, 1000, 1000, 2000, 2000]
 
 
+@pytest.mark.parametrize("family", ["laguerre", "monomial", "hermite"])
+def test_both_rows_equal_the_single_scheme_rows_bytewise(family):
+    # the lockstep sweep shares designs between the schemes; two row blocks
+    # with ridge rows, so the shared factorisation has every part
+    common = dict(problem="call", paths=2 * 16_384 + 7, family=family, ridge=0.5)
+    both = rows_to_csv(run(config_for(scheme="both", **common))).splitlines()
+    single = [rows_to_csv(run(config_for(scheme=scheme, **common))).splitlines()[1]
+              for scheme in ("later", "now")]
+    assert both[1:] == single
+
+
 def test_both_schemes_pair_by_seed():
     config = config_for(problem="call", scheme="both", paths=1000,
                         family="laguerre",
@@ -179,6 +190,18 @@ def test_timings_flag_fills_runtime_column(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[idx] == ""
     assert main(args + ["--timings"]) == 0
     assert float(out.read_text().splitlines()[1].split(",")[idx]) > 0.0
+
+
+def test_timings_flag_fills_runtime_column_of_both_rows(tmp_path):
+    out = tmp_path / "timed.csv"
+    args = ["solve", "--problem", "call", "--scheme", "both", "--paths", "500",
+            "--steps", "3", "--k", "3", "--seed", "2", "--out", str(out)]
+    idx = REPORT_COLUMNS.index("runtime_ms")
+    assert main(args) == 0
+    assert [line.split(",")[idx] for line in out.read_text().splitlines()[1:]] == ["", ""]
+    assert main(args + ["--timings"]) == 0
+    times = [float(line.split(",")[idx]) for line in out.read_text().splitlines()[1:]]
+    assert len(times) == 2 and all(np.isfinite(t) and t > 0.0 for t in times)
 
 
 # ------------------------------------------------------------ exit codes
@@ -304,6 +327,8 @@ def test_module_run_prints_no_warning(tmp_path):
     (["--problem", "call", "r=nan"], "r"),
     (["--problem", "call", "mu=inf"], "mu"),
     (["picard_iters=1001"], "picard_iters"),
+    # a time grid numpy cannot address
+    (["--problem", "put", "--steps", "100000000000000000000"], "steps"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, args, key):
     def no_simulation(*args, **kwargs):
@@ -359,6 +384,8 @@ def _exit_code(argv):
 @example(overrides={"problem": "call", "mu": "0.0", "scheme": "later", "K": "1.0"})
 # a path array numpy cannot address: exit 2 before any simulation
 @example(overrides={"problem": "put", "paths": "100000000000000000000"})
+# a step count numpy cannot address: exit 2 before any simulation
+@example(overrides={"problem": "put", "steps": "100000000000000000000"})
 def test_any_overrides_end_in_a_documented_exit_code(overrides):
     # defaults for keys not drawn; drawn sizes also stay at paths <= 500, steps <= 4
     mapping = {"paths": "50", "steps": "2", "k": "3", **overrides}

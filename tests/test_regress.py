@@ -15,7 +15,7 @@ def test_recovers_coefficients_in_span():
     rng = np.random.default_rng(0)
     design = random_design(rng)
     c0 = np.array([1.0, -2.5, 0.25, 3.0])
-    coeffs, cond = project(design, design @ c0)
+    coeffs, cond, _ = project(design, design @ c0)
     np.testing.assert_allclose(coeffs, c0, rtol=1e-10)
     assert cond >= 1.0
 
@@ -26,7 +26,7 @@ def test_duplicate_columns_split_weight_equally():
     other = rng.standard_normal(60)
     design = np.column_stack([col, col, other])
     target = 2.0 * col + 0.5 * other
-    coeffs, cond = project(design, target)
+    coeffs, cond, _ = project(design, target)
     # minimal-norm solution spreads the duplicate weight evenly
     assert coeffs[0] == pytest.approx(coeffs[1], rel=1e-10)
     assert coeffs[0] == pytest.approx(1.0, rel=1e-8)
@@ -38,7 +38,7 @@ def test_matches_normal_equations_solve():
     rng = np.random.default_rng(2)
     design = random_design(rng, 50, 4)
     target = rng.standard_normal(50)
-    coeffs, _ = project(design, target)
+    coeffs, _, _ = project(design, target)
     brute = np.linalg.solve(design.T @ design, design.T @ target)
     np.testing.assert_allclose(coeffs, brute, rtol=1e-8)
 
@@ -47,8 +47,8 @@ def test_projection_idempotence():
     rng = np.random.default_rng(3)
     design = random_design(rng, 80, 5)
     target = rng.standard_normal(80)
-    coeffs, _ = project(design, target)
-    again, _ = project(design, design @ coeffs)
+    coeffs, _, _ = project(design, target)
+    again, _, _ = project(design, design @ coeffs)
     np.testing.assert_allclose(again, coeffs, rtol=1e-10, atol=1e-12)
 
 
@@ -56,7 +56,7 @@ def test_residual_orthogonal_to_columns():
     rng = np.random.default_rng(4)
     design = random_design(rng, 100, 6)
     target = rng.standard_normal(100)
-    coeffs, _ = project(design, target)
+    coeffs, _, _ = project(design, target)
     residual = target - design @ coeffs
     bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(target)
     assert np.linalg.norm(design.T @ residual) <= bound
@@ -67,7 +67,7 @@ def test_fit_never_beats_plain_mean_backwards():
     rng = np.random.default_rng(5)
     design = np.column_stack([np.ones(200), rng.standard_normal((200, 3))])
     target = rng.standard_normal(200) + 3.0
-    coeffs, _ = project(design, target)
+    coeffs, _, _ = project(design, target)
     fitted_sse = np.sum((target - design @ coeffs) ** 2)
     centered_sse = np.sum((target - target.mean()) ** 2)
     assert fitted_sse <= centered_sse + 1e-12
@@ -82,7 +82,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_single_row_design_allowed():
-    coeffs, cond = project(np.array([[2.0, 1.0]]), np.array([4.0]))
+    coeffs, cond, _ = project(np.array([[2.0, 1.0]]), np.array([4.0]))
     # minimal-norm underdetermined solution
     np.testing.assert_allclose(coeffs, [1.6, 0.8], rtol=1e-12)
     assert cond == 1.0
@@ -92,8 +92,8 @@ def test_ridge_shrinks_solution():
     rng = np.random.default_rng(7)
     design = random_design(rng, 40, 3)
     target = rng.standard_normal(40)
-    plain, _ = project(design, target)
-    shrunk, _ = project(design, target, ridge=1e3)
+    plain, _, _ = project(design, target)
+    shrunk, _, _ = project(design, target, ridge=1e3)
     assert np.linalg.norm(shrunk) < np.linalg.norm(plain)
     with pytest.raises(ValueError):
         project(design, target, ridge=-1.0)
@@ -106,8 +106,20 @@ def test_project_on_basis_design():
     ens = simulate_paths(problem, grid, 300, seed=21)
     design = basis.eval(2, ens.states[:, 3])
     assert design.shape == (300, 5)
-    coeffs, cond = project(design, np.ones(300))
+    coeffs, cond, _ = project(design, np.ones(300))
     assert np.isfinite(coeffs).all() and cond >= 1.0
+
+
+def test_projects_factorisation_solves_like_a_fresh_project():
+    # a further target on the returned factorisation, as the sweeps reuse it
+    rng = np.random.default_rng(8)
+    design = rng.standard_normal((2 * _BLOCK_ROWS + 7, 5))
+    first, second = rng.standard_normal((2, design.shape[0]))
+    for ridge in (0.0, 0.5):
+        coeffs, cond, factored = project(design, first, ridge=ridge)
+        fresh, fresh_cond, _ = project(design, second, ridge=ridge)
+        np.testing.assert_array_equal(factored.solve(second), fresh)
+        assert factored.condition == cond == fresh_cond
 
 
 # ------------------------------------------------- one factorisation

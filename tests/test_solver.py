@@ -9,7 +9,8 @@ from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, TimeGrid, make_probl
                          make_uniform_grid)
 from fbsde.oracle import black_scholes
 from fbsde.simulate import PathEnsemble, euler_states, simulate_paths
-from fbsde.solver import (NumericalError, solve_regress_later,
+import fbsde.solver as solver_module
+from fbsde.solver import (NumericalError, solve, solve_regress_later,
                           solve_regress_now)
 
 GRID = make_uniform_grid(1.0, 10)
@@ -118,6 +119,68 @@ def test_repeated_solve_is_bit_identical():
     n1 = solve_regress_now(problem, GRID, basis, ens)
     n2 = solve_regress_now(problem, GRID, basis, ens)
     assert n1.y0 == n2.y0 and n1.z0 == n2.z0
+
+
+@pytest.mark.parametrize("family, factorisations", [("laguerre", 10), ("monomial", 10),
+                                                    ("hermite", 19)])
+def test_lockstep_factors_each_shared_time_column_once(monkeypatch, family,
+                                                       factorisations):
+    # laguerre/monomial: the now step i design is the later step i-1 design,
+    # so 1 + 9 factorisations; hermite's map moves with t_i, so 10 + 9
+    calls = []
+    real = solver_module.project
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "project", counting)
+    problem = call_problem()
+    basis = BasisSet(family, 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 2000, seed=5)
+    both = solve(problem, GRID, basis, ens)
+    assert len(calls) == factorisations
+    assert [result.scheme for result in both] == ["later", "now"]
+    alone = (solve_regress_later(problem, GRID, basis, ens),
+             solve_regress_now(problem, GRID, basis, ens))
+    for shared, single in zip(both, alone):
+        assert (shared.y0, shared.z0) == (single.y0, single.z0)
+        assert shared.diagnostics.keys() == single.diagnostics.keys()
+        for name, values in single.diagnostics.items():
+            np.testing.assert_array_equal(np.array(shared.diagnostics[name], dtype=float),
+                                          np.array(values, dtype=float), err_msg=name)
+
+
+def test_lockstep_fails_at_first_failing_step_in_loop_order():
+    # an infinite driver at t_9 fails the later scheme at its step 8 and
+    # the now scheme at its step 9: both steps of time column 9, which the
+    # lockstep loop takes in the given scheme order
+    base = linear_brownian()
+    problem = FbsdeProblem(
+        drift=base.drift, diffusion=base.diffusion,
+        driver=lambda t, x, y, z: np.full_like(y, np.inf if t == GRID.times[9] else 0.0),
+        terminal=base.terminal, terminal_gradient=base.terminal_gradient,
+        initial_state=0.0, horizon=1.0,
+        drift_dx=base.drift_dx, diffusion_dx=base.diffusion_dx)
+    basis = BasisSet("hermite", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 200, seed=2)
+    with pytest.raises(NumericalError, match="driver values at step 8$"):
+        solve_regress_later(problem, GRID, basis, ens)
+    with pytest.raises(NumericalError, match="fitted values at step 9$"):
+        solve_regress_now(problem, GRID, basis, ens)
+    with pytest.raises(NumericalError, match="driver values at step 8$"):
+        solve(problem, GRID, basis, ens)
+    with pytest.raises(NumericalError, match="fitted values at step 9$"):
+        solve(problem, GRID, basis, ens, ("now", "later"))
+
+
+def test_unknown_scheme_rejected():
+    problem = call_problem()
+    basis = BasisSet("laguerre", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 100, seed=1)
+    for schemes in ((), ("later", "sideways")):
+        with pytest.raises(ValueError, match="schemes"):
+            solve(problem, GRID, basis, ens, schemes)
 
 
 def test_y0_is_the_sweeps_step_zero_value():
