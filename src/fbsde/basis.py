@@ -5,10 +5,11 @@ conditionally Gaussian:
 
     X' = m + s*G,   m = x + delta_i * b(t_i, x),   s = sigma(t_i, x) * sqrt(delta_i),
 
-with G standard normal.  Every basis function here is a polynomial in an
-affinely scaled state u = (x - shift_i) / scale_i, so its conditional
+with G standard normal.  Step i regresses on the time column t_{i+1}, so
+basis i lives there: every basis function is a polynomial in the scaled
+state u = (x - shift) / scale_i of that column.  Its conditional
 expectation reduces to Gaussian moments E[(m' + s'G)^d] of the scaled
-transition (m' = (m - shift_i)/scale_i, s' = s/scale_i), which satisfy
+transition (m' = (m - shift)/scale_i, s' = s/scale_i), which satisfy
 mu_0 = 1, mu_1 = m', mu_d = m' * mu_{d-1} + (d-1) * s'^2 * mu_{d-2}.
 That makes the conditional expectation (and its x-derivative) exact up to
 rounding, never a quadrature.
@@ -25,8 +26,9 @@ powers of u - centre: Horner's rule for the derivative, a running Gaussian
 moment sum for the expectation, and the two combined for the expectation's
 derivative.  The regression-later sweep needs only one combination
 sum_j w_j e_j at a time: the ``*_dot`` operations fold w into one such
-polynomial about the scaled start state of the step, using tables built
-once per basis, with no (M, k) matrix.  The matrix operations pass the
+polynomial about the scaled start state, with no (M, k) matrix.  Every
+step maps the start state to one centre, so one table, built once per
+basis, serves every step.  The matrix operations pass the
 centre-0 table, one polynomial per basis function.
 
 The values and the three evaluators run over blocks of _BLOCK states, so
@@ -94,7 +96,11 @@ def gaussian_moments(mean: np.ndarray, std: np.ndarray, max_degree: int) -> np.n
 
 
 class BasisSet:
-    """Per-time-index polynomial basis tied to one (problem, grid) pair.
+    """Per-step polynomial basis tied to one (problem, grid) pair.
+
+    Basis i lives on the column t_{i+1} that step i regresses on: hermite
+    standardises by the start state and sqrt(t_{i+1}), laguerre and
+    monomial scale by one constant.
 
     ``eval``/``grad`` evaluate the k basis functions and their state
     derivatives; ``cond_exp``/``cond_exp_grad`` give the exact one-step
@@ -125,34 +131,22 @@ class BasisSet:
         self.problem = problem
         self.grid = grid
         self._coefficients = [_recurrence_coefficients(family, n) for n in range(k - 1)]
-        self._shift, self._scale = self._scaling(family, problem, grid)
+        # u = (x - shift) / scale[i] on the column t_{i+1} of step i.
+        x0 = float(problem.initial_state)
+        if family == "hermite":
+            # Standardize around the start state; sqrt(t_{i+1}) tracks the
+            # diffusive spread.
+            self._shift, self._scale = x0, np.sqrt(grid.times[1:])
+        else:
+            # laguerre/monomial: map the state to O(1) by the start value
+            # when it is positive (pricing-style problems), identity otherwise.
+            self._shift, self._scale = 0.0, np.full(grid.n_steps, x0 if x0 > 0 else 1.0)
         self._table = self._taylor_table(0.0)
         # The combination ops fold their coefficients about the scaled start
-        # state of each step; the steps share one table per distinct centre.
-        self._centre = ((problem.initial_state - self._shift) / self._scale).tolist()
-        tables = {0.0: self._table}
-        for centre in self._centre:
-            if centre not in tables:
-                tables[centre] = self._taylor_table(centre)
-        self._folds = [tables[centre] for centre in self._centre]
-
-    @staticmethod
-    def _scaling(family: str, problem: FbsdeProblem, grid: TimeGrid):
-        n = grid.n_steps
-        if family == "hermite":
-            # Standardize around the start state; sqrt(t_i) tracks the
-            # diffusive spread.  t_0 = 0 falls back to the identity map.
-            shift = np.full(n + 1, problem.initial_state)
-            scale = np.sqrt(grid.times)
-            shift[0] = 0.0
-            scale[0] = 1.0
-            return shift, scale
-        # laguerre/monomial: map the state to O(1) by the start value when
-        # it is positive (pricing-style problems), identity otherwise.
-        x0 = problem.initial_state
-        shift = np.zeros(n + 1)
-        scale = np.full(n + 1, x0 if x0 > 0 else 1.0)
-        return shift, scale
+        # state: hermite shifts by it and the other maps are constant, so
+        # every step maps it to this one centre.
+        self._centre = (x0 - self._shift) / float(self._scale[0])
+        self._fold_table = self._taylor_table(self._centre)
 
     # -- helpers -----------------------------------------------------------
 
@@ -165,13 +159,9 @@ class BasisSet:
             raise IndexError(f"step index {i} out of range [0, {self.grid.n_steps})")
         return i
 
-    def affine_map(self, i: int) -> tuple[float, float]:
-        """(shift_i, scale_i) of u = (x - shift_i) / scale_i; equal maps, equal bits."""
-        return float(self._shift[self._check_step(i)]), float(self._scale[i])
-
     def _scaled(self, i: int, x) -> np.ndarray:
-        """The states as scaled values u = (x - shift_i) / scale_i."""
-        u = self._as_vector(x) - self._shift[i]
+        """The states as scaled values u = (x - shift) / scale_i."""
+        u = self._as_vector(x) - self._shift
         u /= self._scale[i]
         return u
 
@@ -181,7 +171,7 @@ class BasisSet:
         dt = self.grid.deltas[i]
         m = x + dt * np.asarray(self.problem.drift(t, x), dtype=np.float64)
         s = np.asarray(self.problem.diffusion(t, x), dtype=np.float64) * np.sqrt(dt)
-        return (m - self._shift[i]) / self._scale[i], s / self._scale[i]
+        return (m - self._shift) / self._scale[i], s / self._scale[i]
 
     def _slopes(self, i: int, x: np.ndarray):
         """x-derivatives of the scaled transition mean and std of step i."""
@@ -234,12 +224,12 @@ class BasisSet:
 
     def _fold(self, i: int, weights):
         """Taylor coefficients c_d of q = sum_j w_j p_j in powers of
-        u - centre_i, summed over j in a fixed order, and centre_i."""
+        u - centre, summed over j in a fixed order, and the centre."""
         self._check_step(i)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.k,):
             raise ValueError(f"weights shape {w.shape} does not match basis size {self.k}")
-        return (w[:, None] * self._folds[i]).sum(axis=0), self._centre[i]
+        return (w[:, None] * self._fold_table).sum(axis=0), self._centre
 
     @staticmethod
     def _gaussian_sum(coefs: np.ndarray, mean: np.ndarray, std: np.ndarray,

@@ -16,9 +16,8 @@ with a short Picard iteration.
 
 Both schemes are step rules, from the values at t_{i+1} to those at t_i,
 of one backward loop; ``solve`` runs them in lockstep, the later step j-1
-and then the now step j at each time column j, sharing the last design and
-its factorisation: the now step j design, e_j at X_{t_j}, is the later step
-j-1 design whenever the basis maps of j-1 and j agree (laguerre, monomial).
+and then the now step j at each time column j, sharing that column's one
+design, e_{j-1} at X_{t_j}, and its factorisation.
 """
 
 from __future__ import annotations
@@ -72,30 +71,31 @@ def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
 
 
 class _SharedDesign:
-    """The last design and its factorisation, keyed by the time column and
-    the basis index's affine map, which fix its bits.  It is dropped once
-    every rule has read it or another key is asked for, so a rule alone
-    frees it after every step; the (k, M) buffer holds its design."""
+    """The last design and its factorisation, keyed by its time column j:
+    basis j-1, which lives on t_j, at X_{t_j}.  It is dropped once every
+    rule has read it or another column is asked for, so a rule alone frees
+    it after every step; the (k, M) buffer holds its design."""
 
     def __init__(self, basis: BasisSet, states: np.ndarray, ridge: float, users: int):
         self._basis, self._states, self._ridge, self._users = basis, states, ridge, users
         self._rows = np.empty((basis.k, states.shape[0]))
-        self._key, self._fit, self._reads = None, None, 0
+        self._column, self._fit, self._reads = None, None, 0
 
-    def fit(self, i: int, j: int, targets):
-        """Coefficients of ``targets`` on basis i at column j, the fit, the design."""
-        key = (j, self._basis.affine_map(i))
-        if key != self._key:
-            self._key = self._fit = None
-            design = self._basis.eval(i, self._states[:, j], out=self._rows)
-            _require_finite(design, i, "basis values")
+    def fit(self, j: int, targets):
+        """Coefficients of ``targets`` on the design of column j, the fit, the design."""
+        if j != self._column:
+            self._column = self._fit = None
+            design = self._basis.eval(j - 1, self._states[:, j], out=self._rows)
+            if not np.all(np.isfinite(design)):
+                # An invalid value, which the sweep reports at the asking step.
+                raise FloatingPointError("non-finite basis values")
             coefs, _, self._fit = project(design, targets, ridge=self._ridge)
-            self._key, self._reads = key, 0
+            self._column, self._reads = j, 0
         else:
             coefs = self._fit.solve(targets)
         fit, self._reads = self._fit, self._reads + 1
         if self._reads == self._users:
-            self._key = self._fit = None
+            self._column = self._fit = None
         return coefs, fit, self._rows.T
 
 
@@ -105,7 +105,7 @@ def _later_rule(problem, grid, basis, paths, designs):
 
     def step(i, target):
         x_next = states[:, i + 1]
-        alpha, fit, _ = designs.fit(i, i + 1, target)
+        alpha, fit, _ = designs.fit(i + 1, target)
         z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(
             problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
@@ -152,7 +152,7 @@ def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
             targets[0] = y
             np.multiply(y, increments[:, i], out=targets[1])
             targets[1] /= deltas[i]
-            coefs, fit, design = designs.fit(i, i, targets.T)
+            coefs, fit, design = designs.fit(i, targets.T)
             condition = fit.condition
             del targets, fit
             e_y = design @ coefs[:, 0]

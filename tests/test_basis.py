@@ -84,9 +84,10 @@ def test_monomial_gradient():
 
 
 def test_hermite_gradient_at_zero():
-    # He_n' = n He_{n-1}
+    # He_n' = n He_{n-1}, times the chain-rule factor 1/sqrt(t_1) of step 0
     basis = BasisSet("hermite", 3, brownian_problem(), GRID)
-    np.testing.assert_allclose(basis.grad(0, np.array([0.0])), [[0.0, 1.0, 0.0]], rtol=0, atol=0)
+    np.testing.assert_allclose(basis.grad(0, np.array([0.0])),
+                               [[0.0, 1.0 / np.sqrt(GRID.times[1]), 0.0]], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
@@ -137,15 +138,16 @@ RATIONAL_U = (0.0, -2.75, -0.5, 0.25, 1.75, 3.5)
 @pytest.mark.parametrize("family", ["laguerre", "hermite", "monomial"])
 @pytest.mark.parametrize("k", [1, 2, 6, 12])
 def test_recurrence_matches_exact_polynomials(family, k):
-    # x0 = 1.5 on a T=1, N=4 grid: step 1 scales by sqrt(0.25) = 0.5 around
-    # 1.5 (hermite) or by 1.5 around 0 (laguerre, monomial), so each x below
-    # is exact and maps back to its u without rounding.
+    # x0 = 1.5 on a T=1, N=4 grid: step 0, on the column t_1 = 0.25, scales
+    # by sqrt(0.25) = 0.5 around 1.5 (hermite) or by 1.5 around 0 (laguerre,
+    # monomial), so each x below is exact and maps back to its u without
+    # rounding.
     problem = make_problem(ProblemCatalogEntry.with_defaults("custom", x0=1.5))
     grid = make_uniform_grid(1.0, 4)
     basis = BasisSet(family, k, problem, grid)
     shift, scale = (1.5, 0.5) if family == "hermite" else (0.0, 1.5)
     x = np.array([shift + scale * u for u in RATIONAL_U])
-    values, grads = basis.eval(1, x), basis.grad(1, x)
+    values, grads = basis.eval(0, x), basis.grad(0, x)
     assert values.shape == grads.shape == (x.size, k)
     rows = closed_form_rows(family, k)
     for m, u in enumerate(RATIONAL_U):
@@ -159,8 +161,8 @@ def test_recurrence_matches_exact_polynomials(family, k):
             assert abs(values[m, j] - float(value)) <= 1e-13 * size
             assert abs(grads[m, j] - float(slope)) <= 1e-13 * dsize
         # one state alone: shape (1, k), same numbers
-        np.testing.assert_array_equal(basis.eval(1, x[m:m + 1]), values[m:m + 1])
-        np.testing.assert_array_equal(basis.grad(1, x[m:m + 1]), grads[m:m + 1])
+        np.testing.assert_array_equal(basis.eval(0, x[m:m + 1]), values[m:m + 1])
+        np.testing.assert_array_equal(basis.grad(0, x[m:m + 1]), grads[m:m + 1])
 
 
 # ------------------------------------------------------------- cond_exp
@@ -259,17 +261,23 @@ def spacetime_hermite_coeffs(n, t):
 
 def test_spacetime_hermite_martingale_exactness():
     # conditional expectation through one Euler step of Brownian motion
-    # maps H_n(., t_{i+1}) to H_n(., t_i), exactly
+    # maps H_n(., t_{i+1}) to H_n(., t_i), exactly.  The hermite basis on
+    # the column of step i is He_n(x / sqrt(t_{i+1})) = t_{i+1}^{-n/2}
+    # H_n(x, t_{i+1}), so its cond_exp is t_{i+1}^{-n/2} H_n(x, t_i).
+    basis = BasisSet("hermite", 8, brownian_problem(), GRID)
+    xs = np.array([-1.7, 0.0, 0.9, 2.4])
     for i in (0, 4, 9):
         t_now, dt = GRID.times[i], GRID.deltas[i]
         t_next = GRID.times[i + 1]
+        values = basis.cond_exp(i, xs)
         for n in range(1, 8):
             coeffs = spacetime_hermite_coeffs(n, t_next)
-            for x in (-1.7, 0.0, 0.9, 2.4):
+            want = np.polynomial.polynomial.polyval(xs, spacetime_hermite_coeffs(n, t_now))
+            for x, w in zip(xs, want):
                 got = float(gaussian_poly_expectation(coeffs, x, np.sqrt(dt)))
-                want = float(np.polynomial.polynomial.polyval(
-                    x, spacetime_hermite_coeffs(n, t_now)))
-                assert got == pytest.approx(want, abs=1e-12)
+                assert got == pytest.approx(float(w), abs=1e-12)
+            np.testing.assert_allclose(values[:, n], want / t_next ** (n / 2),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_tower_property_by_binning():
@@ -302,7 +310,7 @@ def test_cond_exp_linearity():
     per_component = basis.cond_exp(i, x) @ combo
     # same combination folded into a single polynomial of the scaled state
     coeffs = combo @ basis._table
-    scale = np.sqrt(GRID.times[i])  # hermite scaling at step i >= 1
+    scale = np.sqrt(GRID.times[i + 1])  # hermite scaling on the column of step i
     m = x / scale  # zero drift, shift x0 = 0
     s = np.full_like(x, np.sqrt(GRID.deltas[i]) / scale)
     folded = gaussian_poly_expectation(coeffs, m, s)
@@ -330,9 +338,10 @@ def exact_moments(m, s, dm, ds, degree):
     return mu[:degree + 1], dmu[:degree + 1]
 
 
-# One Euler step of length 1/4 (sqrt = 1/2) from t_1 = 1/4 on a T=1, N=4
-# grid.  With x0 = 2 the scaled transition is exact in binary: hermite
-# scales by sqrt(t_1) = 1/2 around 2, laguerre and monomial by 2 around 0.
+# Step 0 of a T=1, N=4 grid: one Euler step of length 1/4 (sqrt = 1/2) onto
+# the column t_1 = 1/4.  With x0 = 2 the scaled transition is exact in
+# binary: hermite scales by sqrt(t_1) = 1/2 around 2, laguerre and monomial
+# by 2 around 0.
 # Each entry: the problem, and x -> (b(x), sigma(x), b'(x), sigma'(x)) exactly.
 EXACT_PROBLEMS = {
     "brownian": (ProblemCatalogEntry.with_defaults("custom", b0=0.75, s0=1.5, x0=2.0),
@@ -364,7 +373,7 @@ def test_cond_exp_matches_exact_rational_moments(name, family, k):
     assert np.all(ulps <= (1 if family == "laguerre" else 8))
 
     x = np.array(EXACT_X)
-    values, grads = basis.cond_exp(1, x), basis.cond_exp_grad(1, x)
+    values, grads = basis.cond_exp(0, x), basis.cond_exp_grad(0, x)
     assert values.shape == grads.shape == (x.size, k)
     eps = np.finfo(float).eps
     for n, xf in enumerate(EXACT_X):
@@ -398,14 +407,14 @@ def shifted_rows(rows, k, centre):
 @pytest.mark.parametrize("k", [1, 2, 6, 12, 31])
 def test_combination_ops_match_exact_values(name, family, k):
     # grad_dot, cond_exp_dot and cond_exp_grad_dot against exact rational
-    # values of one fixed combination, at the states whose step-1 scaled
+    # values of one fixed combination, at the states whose step-0 scaled
     # value is RATIONAL_U.  The rounding scale is the sum of |terms| of the
     # folded form the ops evaluate: |w_j| |Taylor coefficient about the
     # centre| times the powers (or moments) of |u - centre|.
     entry, coefficients = EXACT_PROBLEMS[name]
     basis = BasisSet(family, k, make_problem(entry), make_uniform_grid(1.0, 4))
     shift, scale = (Fraction(2), Fraction(1, 2)) if family == "hermite" else (0, Fraction(2))
-    centre = Fraction(basis._centre[1])
+    centre = Fraction(basis._centre)
     dt = Fraction(1, 4)
     rows = closed_form_rows(family, k)
     folded = shifted_rows(rows, k, centre)
@@ -413,8 +422,8 @@ def test_combination_ops_match_exact_values(name, family, k):
     wq = [Fraction(v) for v in w]
 
     x = np.array([float(shift + scale * Fraction(u)) for u in RATIONAL_U])
-    slopes = basis.grad_dot(1, x, w)
-    values, grads = basis.cond_exp_dot(1, x, w), basis.cond_exp_grad_dot(1, x, w)
+    slopes = basis.grad_dot(0, x, w)
+    values, grads = basis.cond_exp_dot(0, x, w), basis.cond_exp_grad_dot(0, x, w)
     assert slopes.shape == values.shape == grads.shape == (x.size,)
     eps = np.finfo(float).eps
     for n, xf in enumerate(x):
