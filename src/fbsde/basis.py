@@ -181,11 +181,10 @@ class BasisSet:
         sigma_x = np.asarray(self.problem.diffusion_dx(t, x), dtype=np.float64)
         return (1.0 + dt * b_x) / self._scale[i], sigma_x * np.sqrt(dt) / self._scale[i]
 
-    def _polys(self, u: np.ndarray, out=None) -> np.ndarray:
+    def _polys(self, u: np.ndarray) -> np.ndarray:
         """p_0..p_{k-1} at the scaled states u, block by block: one (k, M)
-        buffer (``out``, if given), returned transposed, since a
-        factorisation copies a column-major design straight."""
-        p = np.empty((self.k, u.size)) if out is None else out
+        array, returned transposed, the layout a factorisation consumes."""
+        p = np.empty((self.k, u.size))
         tmp = np.empty(min(u.size, _BLOCK))
         for lo in range(0, u.size, _BLOCK):
             ub, pb = u[lo:lo + _BLOCK], p[:, lo:lo + _BLOCK]
@@ -304,11 +303,10 @@ class BasisSet:
 
     # -- operations --------------------------------------------------------
 
-    def eval(self, i: int, x, out=None) -> np.ndarray:
-        """Basis values e_i(x); component j is the degree-j polynomial of
-        the scaled state.  ``out`` is an optional (k, M) float64 buffer to
-        fill; the returned (M, k) array is then its transpose."""
-        return self._polys(self._scaled(self._check_step(i), x), out)
+    def eval(self, i: int, x) -> np.ndarray:
+        """Basis values e_i(x), the transpose of a C-contiguous (k, M) array;
+        component j is the degree-j polynomial of the scaled state."""
+        return self._polys(self._scaled(self._check_step(i), x))
 
     def grad(self, i: int, x) -> np.ndarray:
         """State derivative of eval, including the chain-rule scaling factor."""

@@ -8,20 +8,20 @@ columns on the left, so A and the stacked R factors share their singular
 values and right singular vectors: one singular-value decomposition of the
 stacked R gives the minimal-norm solution, for rank-deficient designs too.
 
-The design is copied once, block by block, into one array of k * M
-values.  LAPACK ``dgeqrf`` factors each block in place there and
-``dorgqr`` then overwrites the block with its explicit thin Q, stored as
-the rows of Q_b^T.  Both are called through ``numpy.linalg.lapack_lite``,
-a private-but-present numpy module; they leave exactly the Q and R that
-``numpy.linalg.qr`` returns in reduced mode, and tests/test_regress.py
-pins that contract bit for bit.
+A design in ``BasisSet.eval``'s layout, the transpose of a C-contiguous
+(k, M) float64 array, is consumed; any other is first copied into it.
+LAPACK ``dgeqrf`` factors each block in place, with leading dimension M,
+and ``dorgqr`` overwrites it with its thin Q, so Q_b^T ends up in
+``design.T[:, lo:hi]``.  Both run through numpy's private-but-present
+``numpy.linalg.lapack_lite`` and leave exactly the Q and R that
+``numpy.linalg.qr`` returns in reduced mode, as tests/test_regress.py pins.
 
 A solve is one product Q_b^T t_b per block, concatenated and carried
-through the SVD factors; the target is only read.  No normal equations
-are formed, so the conditioning of the solve is that of the design
-itself.  Singular values at or below rows * eps * s_max are treated as
-zero; rank deficiency is surfaced through the reported condition estimate
-rather than as an error.
+through the SVD factors; the fitted values A x need neither x nor A, and
+the target is only read.  No normal equations are formed, so the
+conditioning of the solve is that of the design itself.  Singular values
+at or below rows * eps * s_max are treated as zero; rank deficiency is
+surfaced through the reported condition estimate rather than as an error.
 """
 
 from __future__ import annotations
@@ -49,18 +49,17 @@ def _lapack(routine, *args) -> None:
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info = {info}")
 
 
-def _thin_qr(h: np.ndarray) -> np.ndarray:
-    """Thin QR of one block, in place: ``h`` is a C-contiguous (k, rows)
-    float64 array, which is LAPACK's column-major rows x k block.  Returns
-    the n x k triangular factor, n = min(k, rows), and leaves Q^T in
-    ``h[:n]``."""
-    k, rows = h.shape
-    lda = max(1, rows)
-    n = min(k, rows)
+def _thin_qr(h: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Thin QR of rows lo:hi of the C-contiguous (k, M) float64 ``h``, LAPACK's
+    column-major M x k matrix, in place: returns the n x k triangular
+    factor, n = min(k, hi - lo), and leaves Q^T in ``h[:n, lo:hi]``."""
+    k, lda = h.shape
+    rows, n = hi - lo, min(k, hi - lo)
+    block = h.reshape(-1)[lo:]  # from the block's first entry; C-contiguous for lapack_lite
     tau = np.empty(n)
-    _lapack(lapack_lite.dgeqrf, rows, k, h, lda, tau)
-    r = np.triu(h.T[:n])
-    _lapack(lapack_lite.dorgqr, rows, n, n, h, lda, tau)
+    _lapack(lapack_lite.dgeqrf, rows, k, block, lda, tau)
+    r = np.triu(h[:, lo:hi].T[:n])
+    _lapack(lapack_lite.dorgqr, rows, n, n, block, lda, tau)
     return r
 
 
@@ -69,30 +68,30 @@ class FactoredDesign:
     targets.
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
-    regression states; ``ridge`` adds Tikhonov rows sqrt(ridge)*I.  The
-    design is copied once, block by block, into one array of k * M values,
-    which then holds each block's Q^T; the caller's design is never
-    written, and the caller may drop it afterwards.  ``condition`` is
-    s_max/s_min of the solved matrix (ridge rows included), inf for an
-    exactly singular one.
+    regression states; ``ridge`` adds Tikhonov rows sqrt(ridge)*I.  A
+    float64 design whose transpose is C-contiguous and writable, as
+    ``eval`` returns it, is consumed and holds each block's Q^T in
+    ``design.T[:, lo:hi]``; any other is copied once and never written.
+    ``condition`` is s_max/s_min of the solved matrix (ridge rows
+    included), inf for an exactly singular one.
     """
 
     def __init__(self, design, ridge: float = 0.0) -> None:
-        a = np.asarray(design, dtype=np.float64)
+        a = np.asarray(design)
         if a.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
         if ridge < 0.0:
             raise ValueError("ridge must be nonnegative")
-        self._rows, k = a.shape
+        h = a.T
+        if not (h.dtype == np.float64 and h.flags.c_contiguous and h.flags.writeable):
+            h = np.array(h, dtype=np.float64, order="C")
+        k, self._rows = h.shape
         n_blocks = max(1, self._rows // _BLOCK_ROWS)
-        self._starts = [b * self._rows // n_blocks for b in range(n_blocks + 1)]
-        q = np.empty(k * self._rows)
-        self._qt, factors = [], []
-        for lo, hi in zip(self._starts, self._starts[1:]):
-            block = q[k * lo:k * hi].reshape(k, hi - lo)
-            block[...] = a[lo:hi].T
-            factors.append(_thin_qr(block))
-            self._qt.append(block[:factors[-1].shape[0]])
+        starts = [b * self._rows // n_blocks for b in range(n_blocks + 1)]
+        self._blocks, factors = [], []  # (Q_b^T, its rows)
+        for lo, hi in zip(starts, starts[1:]):
+            factors.append(_thin_qr(h, lo, hi))
+            self._blocks.append((h[:factors[-1].shape[0], lo:hi], slice(lo, hi)))
         # A = diag(Q_1, ..., Q_n) [R_1; ...; R_n]
         r = np.vstack(factors)
         stacked_rows = r.shape[0]
@@ -106,35 +105,39 @@ class FactoredDesign:
         # rows of the target are zero.
         self._ut = u[:stacked_rows].T
         rcond = solved_rows * np.finfo(np.float64).eps
-        keep = s > rcond * s[0]
-        self._inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        self._keep = s > rcond * s[0]
+        self._inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=self._keep)
         self.condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
 
-    def solve(self, target) -> np.ndarray:
-        """Minimal-norm least-squares coefficients for ``target`` of shape
-        (M,), or (M, n) for n targets (coefficients (k, n)); each target is
-        solved exactly as it would be alone, and none is written."""
+    def _qt_target(self, target) -> np.ndarray:
+        """The stacked Q_b^T t_b for a target of shape (M,), which is only read."""
         t = np.asarray(target, dtype=np.float64)
-        if t.ndim == 2 and t.shape[0] == self._rows:
-            return np.stack([self._solve(column) for column in t.T], axis=1)
         if t.shape != (self._rows,):
-            raise ValueError(
-                f"target shape {t.shape} does not match design rows {self._rows}"
-            )
-        return self._solve(t)
+            raise ValueError(f"target shape {t.shape} does not match design rows {self._rows}")
+        return np.concatenate([qt_b @ t[rows] for qt_b, rows in self._blocks])
 
-    def _solve(self, target: np.ndarray) -> np.ndarray:
-        blocks = zip(self._qt, self._starts, self._starts[1:])
-        qt = np.concatenate([qt_b @ target[lo:hi] for qt_b, lo, hi in blocks])
-        return self._vt.T @ ((self._ut @ qt) * self._inv_s)
+    def solve(self, target) -> np.ndarray:
+        """Minimal-norm least-squares coefficients x for ``target`` of shape (M,)."""
+        return self._vt.T @ ((self._ut @ self._qt_target(target)) * self._inv_s)
+
+    def fitted(self, target) -> np.ndarray:
+        """A x for x = solve(target), as diag(Q_1, ..., Q_n) U_R U_R^T Q^T t:
+        U_R is U's rows for the stacked R factors, dropped directions zeroed."""
+        w = self._ut.T @ ((self._ut @ self._qt_target(target)) * self._keep)
+        # min(k, rows) entries per block (with several blocks, rows > k),
+        # each block's product written in place: no per-block temporaries
+        out = np.empty(self._rows)
+        for (qt_b, rows), w_b in zip(self._blocks, w.reshape(len(self._blocks), -1)):
+            np.matmul(qt_b.T, w_b, out=out[rows])
+        return out
 
 
 def project(design, target, ridge: float = 0.0) -> tuple[np.ndarray, float, FactoredDesign]:
     """Minimal-norm least-squares fit of target on the design columns.
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
-    regression states, and ``target`` has length M (or shape (M, n) for n
-    targets on one factorisation).
+    regression states, and ``target`` has length M.  A design in ``eval``'s
+    layout is consumed and holds Q^T afterwards (see ``FactoredDesign``).
 
     Returns (coefficients, condition_estimate, factored): s_max/s_min of the
     solved matrix (inf for an exactly singular design) and the

@@ -17,7 +17,8 @@ with a short Picard iteration.
 Both schemes are step rules, from the values at t_{i+1} to those at t_i,
 of one backward loop; ``solve`` runs them in lockstep, the later step j-1
 and then the now step j at each time column j, sharing that column's one
-design, e_{j-1} at X_{t_j}, and its factorisation.
+design, e_{j-1} at X_{t_j}, and its factorisation, which overwrites it:
+one k x M array per column.
 """
 
 from __future__ import annotations
@@ -71,32 +72,32 @@ def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
 
 
 class _SharedDesign:
-    """The last design and its factorisation, keyed by its time column j:
-    basis j-1, which lives on t_j, at X_{t_j}.  It is dropped once every
-    rule has read it or another column is asked for, so a rule alone frees
-    it after every step; the (k, M) buffer holds its design."""
+    """The last factorisation, keyed by its time column j, of basis j-1 at
+    X_{t_j}, evaluated into a fresh (k, M) array that ``project`` consumes.
+    It is dropped once every rule has read it or another column is asked
+    for, so a rule alone frees it after every step."""
 
     def __init__(self, basis: BasisSet, states: np.ndarray, ridge: float, users: int):
         self._basis, self._states, self._ridge, self._users = basis, states, ridge, users
-        self._rows = np.empty((basis.k, states.shape[0]))
         self._column, self._fit, self._reads = None, None, 0
 
-    def fit(self, j: int, targets):
-        """Coefficients of ``targets`` on the design of column j, the fit, the design."""
+    def fit(self, j: int, target, solve: bool = True):
+        """Coefficients of ``target`` on column j's design, and its factorisation;
+        a held one solves only if asked, else gives None."""
         if j != self._column:
             self._column = self._fit = None
-            design = self._basis.eval(j - 1, self._states[:, j], out=self._rows)
+            design = self._basis.eval(j - 1, self._states[:, j])
             if not np.all(np.isfinite(design)):
                 # An invalid value, which the sweep reports at the asking step.
                 raise FloatingPointError("non-finite basis values")
-            coefs, _, self._fit = project(design, targets, ridge=self._ridge)
+            coefs, _, self._fit = project(design, target, ridge=self._ridge)
             self._column, self._reads = j, 0
         else:
-            coefs = self._fit.solve(targets)
+            coefs = self._fit.solve(target) if solve else None
         fit, self._reads = self._fit, self._reads + 1
         if self._reads == self._users:
             self._column = self._fit = None
-        return coefs, fit, self._rows.T
+        return coefs, fit
 
 
 def _later_rule(problem, grid, basis, paths, designs):
@@ -105,7 +106,7 @@ def _later_rule(problem, grid, basis, paths, designs):
 
     def step(i, target):
         x_next = states[:, i + 1]
-        alpha, fit, _ = designs.fit(i + 1, target)
+        alpha, fit = designs.fit(i + 1, target)
         z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(
             problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
@@ -131,7 +132,8 @@ def _later_rule(problem, grid, basis, paths, designs):
 
 
 def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
-    """Step rule and z0 read-off of the regression-now scheme."""
+    """Step rule and z0 read-off of the regression-now scheme, whose two
+    regressions are fitted values of column i's shared factorisation."""
     times, deltas = grid.times, grid.deltas
     states, increments = paths.states, paths.increments
     z0 = float("nan")
@@ -147,16 +149,11 @@ def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
             condition = 1.0
         else:
             x = states[:, i]
-            # Both targets are known up front: one factorisation serves both.
-            targets = np.empty((2, y.size))
-            targets[0] = y
-            np.multiply(y, increments[:, i], out=targets[1])
-            targets[1] /= deltas[i]
-            coefs, fit, design = designs.fit(i, targets.T)
+            _, fit = designs.fit(i, y, solve=False)
             condition = fit.condition
-            del targets, fit
-            e_y = design @ coefs[:, 0]
-            z = design @ coefs[:, 1]
+            e_y = fit.fitted(y)
+            z = fit.fitted(y * increments[:, i] / deltas[i])
+            del fit
 
         # Picard iteration on y = e_y + delta_i * f(t_i, x, y, z).
         current = e_y.copy()
@@ -245,8 +242,9 @@ def solve_regress_later(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
     the fitted value at t_i through the exact conditional expectation.
     Only one combination of the basis is needed at a time, so Z and the
     expectation come from the basis operations on coefficient vectors
-    (``grad_dot``, ``cond_exp_dot``), and every step's design is written
-    into one (k, M) buffer: no other (M, k) array is formed.
+    (``grad_dot``, ``cond_exp_dot``), and every step's design is evaluated
+    into one (k, M) buffer that its factorisation then overwrites: no other
+    (M, k) array is formed.
     The initial pair is read off the step-0 fit:
     y0 = (alpha + beta*delta_0) . cond_exp(0, x0), the step-0 value, and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).
@@ -261,7 +259,8 @@ def solve_regress_now(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
     expectations on the same ensemble interface as the later scheme.
 
     Per step i >= 1: regress the pathwise next-time values and their
-    increment-weighted counterparts on the basis at X_{t_i}, then solve the
+    increment-weighted counterparts on the basis at X_{t_i}, taking the
+    fitted values straight from the design's factorisation, then solve the
     implicit equation y = E_hat[Y_{t_{i+1}}] + delta_i * f(t_i, x, y, z) by
     Picard iteration (delta * Lipschitz(f) < 1 makes it a contraction; a
     capped iteration that stops short is reported, not raised).  At i = 0

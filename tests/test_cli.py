@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -236,17 +237,34 @@ def test_exit_code_on_numerical_failure(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def call_under_w_error(out, s0):
+    # the shipped call at a huge S0, with every warning an error
+    env = {**os.environ, "PYTHONPATH": str(Path(fbsde.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fbsde.cli", "solve", "--problem", "call",
+         "--paths", "100", f"S0={s0}", "--scheme", "both", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_overflowing_sweep_exits_3_without_traceback(tmp_path):
     # under -W error an overflow warning would otherwise escape as a traceback
     out = tmp_path / "rows.csv"
-    env = {**os.environ, "PYTHONPATH": str(Path(fbsde.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "fbsde.cli", "solve", "--problem", "call",
-         "--paths", "100", "S0=1e300", "--scheme", "both", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = call_under_w_error(out, "1e307")
     assert done.returncode == 3
     assert re.fullmatch(r"numerical failure: [^\n]* at step \d+\n", done.stderr), done.stderr
     assert not out.exists()
+
+
+def test_huge_but_finite_sweep_exits_0_with_finite_rows(tmp_path):
+    # at S0 = 1e300 every fitted value stays finite: the now step takes its
+    # fits from the factorisation, never forming design @ coefficients
+    out = tmp_path / "rows.csv"
+    done = call_under_w_error(out, "1e300")
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.DictReader(out.open()))
+    assert [row["scheme"] for row in rows] == ["later", "now"]
+    for row in rows:
+        assert np.isfinite([float(row["y0_hat"]), float(row["z0_hat"])]).all()
 
 
 def test_exit_code_on_allocation_failure(tmp_path, capsys, monkeypatch):

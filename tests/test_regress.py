@@ -79,6 +79,8 @@ def test_dimension_mismatch_rejected():
         project(random_design(rng, 50, 4), np.zeros(49))
     with pytest.raises(ValueError):
         project(np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError):
+        project(random_design(rng, 50, 4), np.zeros((50, 2)))
 
 
 def test_single_row_design_allowed():
@@ -163,10 +165,9 @@ def test_factorisation_matches_lstsq_for_two_targets(case):
     rows, k = design.shape
     targets = np.column_stack([np.sin(design[:, 1]) + design[:, 0],
                                rng.standard_normal(rows)])
-    fit = FactoredDesign(design, ridge=ridge)
+    # a copy in BasisSet.eval's layout, which the factorisation consumes
+    fit = FactoredDesign(np.array(design, order="F"), ridge=ridge)
     first, second = fit.solve(targets[:, 0]), fit.solve(targets[:, 1])
-    # several targets at once solve exactly as each alone
-    np.testing.assert_array_equal(fit.solve(targets), np.column_stack([first, second]))
 
     stacked, padded = design, targets
     if ridge > 0.0:
@@ -247,33 +248,83 @@ def test_in_place_dgeqrf_matches_numpy_qr_bit_for_bit(case):
     rows = original.shape[0]
     targets = np.column_stack([np.cos(original[:, 0]), rng.standard_normal(rows)])
     reference = ReferenceFit(original, ridge)
-    # each block's Q^T and R, as np.linalg.qr returns them
-    blocks = zip(reference.starts, reference.starts[1:], reference.qt, reference.r)
+    blocks = list(zip(reference.starts, reference.starts[1:], reference.qt, reference.r))
+    # each block's Q^T and R, as np.linalg.qr returns them, with the block
+    # alone (leading dimension hi - lo) and inside the whole (k, M) array
+    # (leading dimension M)
+    whole = original.T.copy()
     for lo, hi, qt, r in blocks:
         block = original[lo:hi].T.copy()
-        np.testing.assert_array_equal(_thin_qr(block), r)
+        np.testing.assert_array_equal(_thin_qr(block, 0, hi - lo), r)
         np.testing.assert_array_equal(block[:r.shape[0]], qt)
+        np.testing.assert_array_equal(_thin_qr(whole, lo, hi), r)
+        np.testing.assert_array_equal(whole[:r.shape[0], lo:hi], qt)
     want = [reference.solve(target) for target in targets.T]
-    # row-major, and column-major as the solver's transposed buffers are
-    for design in (original.copy(), np.asfortranarray(original)):
-        design.setflags(write=False)  # in-place factoring must never write here
+    # BasisSet.eval's layout, a transposed C-contiguous (k, M) array, is
+    # factored in place: each block's Q^T lands in design.T[:, lo:hi]
+    design = original.T.copy().T
+    fit = FactoredDesign(design, ridge=ridge)
+    for lo, hi, qt, _ in blocks:
+        np.testing.assert_array_equal(design.T[:qt.shape[0], lo:hi], qt)
+    assert fit.condition == reference.condition
+    for target, coefficients in zip(targets.T, want):
+        np.testing.assert_array_equal(fit.solve(target), coefficients)
+    # a C-ordered design, and a read-only column-major one, are copied and
+    # come back unchanged, with the same bits; a single row is in eval's
+    # layout as well, and consumed
+    read_only = np.asfortranarray(original)
+    read_only.setflags(write=False)
+    for design in (original.copy(), read_only)[rows == 1:]:
         fit = FactoredDesign(design, ridge=ridge)
         np.testing.assert_array_equal(design, original)
         assert fit.condition == reference.condition
         for target, coefficients in zip(targets.T, want):
             np.testing.assert_array_equal(fit.solve(target), coefficients)
-        np.testing.assert_array_equal(fit.solve(targets), np.column_stack(want))
 
 
 @pytest.mark.parametrize("rows", [500, 3 * _BLOCK_ROWS + 1])
 def test_solve_never_writes_its_target(rows):
-    # one block, and three
+    # one block, and three; the fitted values read the target alike
     rng = np.random.default_rng(13)
     fit = FactoredDesign(rng.standard_normal((rows, 4)))
-    for shape in ((rows,), (rows, 2)):
-        original = rng.standard_normal(shape)
+    for method in (fit.solve, fit.fitted):
+        original = rng.standard_normal(rows)
         target = original.copy()
         target.setflags(write=False)
-        got = fit.solve(target)
+        got = method(target)
         np.testing.assert_array_equal(target, original)
-        np.testing.assert_array_equal(got, fit.solve(original.copy()))
+        np.testing.assert_array_equal(got, method(original.copy()))
+
+
+# ------------------------------------------------- fitted values from Q
+
+
+@pytest.mark.parametrize("rows", [500, 3 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_fitted_values_match_design_times_coefficients(rows, ridge):
+    # one block, and three; ridge rows change the fit but not the identity
+    # A x = diag(Q) U_keep U_keep^T Q^T t
+    rng = np.random.default_rng(14)
+    design = rng.standard_normal((rows, 5))
+    target = np.sin(design[:, 1]) + design[:, 0] + rng.standard_normal(rows)
+    fit = FactoredDesign(design.copy(), ridge=ridge)
+    want = design @ fit.solve(target)
+    # rounding of two backward-stable routes on a well-conditioned design
+    bound = 100 * np.finfo(np.float64).eps * np.max(np.abs(want))
+    assert np.max(np.abs(fit.fitted(target) - want)) <= bound
+    if ridge == 0.0:
+        # a target in the span is its own fit
+        in_span = design @ rng.standard_normal(5)
+        bound = 100 * np.finfo(np.float64).eps * np.max(np.abs(in_span))
+        assert np.max(np.abs(fit.fitted(in_span) - in_span)) <= bound
+
+
+def test_fitted_values_drop_what_the_solve_drops():
+    # rank deficient: the fit is still the projection onto the span
+    rng = np.random.default_rng(15)
+    design = duplicated_column_design(rng)
+    fit = FactoredDesign(design.copy())
+    target = rng.standard_normal(design.shape[0])
+    want = design @ np.linalg.lstsq(design, target, rcond=None)[0]
+    bound = 100 * np.finfo(np.float64).eps * np.max(np.abs(want))
+    assert np.max(np.abs(fit.fitted(target) - want)) <= bound

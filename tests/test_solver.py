@@ -8,6 +8,7 @@ from fbsde.basis import BasisSet
 from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, TimeGrid, make_problem,
                          make_uniform_grid)
 from fbsde.oracle import black_scholes
+from fbsde.regress import _BLOCK_ROWS
 from fbsde.simulate import PathEnsemble, euler_states, simulate_paths
 import fbsde.solver as solver_module
 from fbsde.solver import (NumericalError, solve, solve_regress_later,
@@ -151,6 +152,28 @@ def test_lockstep_factors_each_shared_time_column_once(monkeypatch, family,
         for name, values in single.diagnostics.items():
             np.testing.assert_array_equal(np.array(shared.diagnostics[name], dtype=float),
                                           np.array(values, dtype=float), err_msg=name)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+def test_each_column_is_factored_in_its_evaluated_design(monkeypatch, ridge):
+    # one k * M array per time column: the factorisation overwrites the
+    # design it was handed instead of copying it
+    pairs = []
+    real = solver_module.project
+
+    def recording(design, *args, **kwargs):
+        result = real(design, *args, **kwargs)
+        pairs.append((design, result[2]))
+        return result
+
+    monkeypatch.setattr(solver_module, "project", recording)
+    problem = call_problem()
+    basis = BasisSet("laguerre", 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 2 * _BLOCK_ROWS, seed=5)  # two row blocks
+    solve(problem, GRID, basis, ens, ridge=ridge)
+    assert len(pairs) == GRID.n_steps
+    for design, factored in pairs:
+        assert all(np.shares_memory(design, qt) for qt, _ in factored._blocks)
 
 
 def test_lockstep_fails_at_first_failing_step_in_loop_order():
