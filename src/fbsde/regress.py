@@ -12,9 +12,11 @@ A design in ``BasisSet.eval``'s layout, the transpose of a C-contiguous
 (k, M) float64 array, is consumed; any other is first copied into it.
 LAPACK ``dgeqrf`` factors each block in place, with leading dimension M,
 and ``dorgqr`` overwrites it with its thin Q, so Q_b^T ends up in
-``design.T[:, lo:hi]``.  Both run through numpy's private-but-present
-``numpy.linalg.lapack_lite`` and leave exactly the Q and R that
-``numpy.linalg.qr`` returns in reduced mode, as tests/test_regress.py pins.
+``design.T[:, lo:hi]``, both through numpy's private ``numpy.linalg.lapack_lite``
+in k words of workspace.  Below LAPACK's crossover to blocked code (128 columns
+in reference LAPACK) they run unblocked in at most k words and leave exactly the
+Q and R of ``numpy.linalg.qr(mode="reduced")``, as tests/test_regress.py pins
+for k <= 31; past it, so few words keep them unblocked: a valid QR, not numpy's.
 
 A solve is one product Q_b^T t_b per block, concatenated and carried
 through the SVD factors; the fitted values A x need neither x nor A, and
@@ -37,29 +39,22 @@ __all__ = ["FactoredDesign", "project"]
 _BLOCK_ROWS = 16_384
 
 
-def _lapack(routine, *args) -> None:
-    """Run a ``lapack_lite`` routine whose second argument is its column
-    count after one workspace query (lwork = -1), as numpy's QR runs it."""
-    work = np.empty(1)
-    routine(*args, work, -1, 0)
-    lwork = max(1, args[1], int(work[0]))
-    work = np.empty(lwork)
-    info = routine(*args, work, lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info = {info}")
-
-
 def _thin_qr(h: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Thin QR of rows lo:hi of the C-contiguous (k, M) float64 ``h``, LAPACK's
     column-major M x k matrix, in place: returns the n x k triangular
-    factor, n = min(k, hi - lo), and leaves Q^T in ``h[:n, lo:hi]``."""
+    factor, n = min(k, hi - lo), and leaves Q^T in ``h[:n, lo:hi]``.  Each
+    routine needs max(1, columns) words of workspace; with k words it runs
+    unblocked for any k, and unblocked it uses no more."""
     k, lda = h.shape
     rows, n = hi - lo, min(k, hi - lo)
     block = h.reshape(-1)[lo:]  # from the block's first entry; C-contiguous for lapack_lite
-    tau = np.empty(n)
-    _lapack(lapack_lite.dgeqrf, rows, k, block, lda, tau)
+    tau, work = np.empty(n), np.empty(max(1, k))
+    info = lapack_lite.dgeqrf(rows, k, block, lda, tau, work, work.size, 0)["info"]
     r = np.triu(h[:, lo:hi].T[:n])
-    _lapack(lapack_lite.dorgqr, rows, n, n, block, lda, tau)
+    if info == 0:
+        info = lapack_lite.dorgqr(rows, n, n, block, lda, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QR of rows {lo}:{hi} failed with info = {info}")
     return r
 
 

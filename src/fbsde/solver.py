@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
-from .regress import project
+from .regress import FactoredDesign, project
 from .simulate import NumericalError, PathEnsemble
 
 __all__ = [
@@ -73,27 +73,31 @@ def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
 
 class _SharedDesign:
     """The last factorisation, keyed by its time column j, of basis j-1 at
-    X_{t_j}, evaluated into a fresh (k, M) array that ``project`` consumes.
-    It is dropped once every rule has read it or another column is asked
-    for, so a rule alone frees it after every step."""
+    X_{t_j}, evaluated into a fresh (k, M) array that it consumes; ``project``
+    factors it if the first read gives a target, which the now step never does.
+    Dropped once every rule has read it or another column is asked for, so a
+    rule alone frees it after every step."""
 
     def __init__(self, basis: BasisSet, states: np.ndarray, ridge: float, users: int):
         self._basis, self._states, self._ridge, self._users = basis, states, ridge, users
         self._column, self._fit, self._reads = None, None, 0
 
-    def fit(self, j: int, target, solve: bool = True):
-        """Coefficients of ``target`` on column j's design, and its factorisation;
-        a held one solves only if asked, else gives None."""
+    def fit(self, j: int, target=None):
+        """Coefficients of ``target`` (None if not given) and column j's factorisation."""
+        coefs = None
         if j != self._column:
             self._column = self._fit = None
             design = self._basis.eval(j - 1, self._states[:, j])
             if not np.all(np.isfinite(design)):
                 # An invalid value, which the sweep reports at the asking step.
                 raise FloatingPointError("non-finite basis values")
-            coefs, _, self._fit = project(design, target, ridge=self._ridge)
+            if target is None:
+                self._fit = FactoredDesign(design, ridge=self._ridge)
+            else:
+                coefs, _, self._fit = project(design, target, ridge=self._ridge)
             self._column, self._reads = j, 0
-        else:
-            coefs = self._fit.solve(target) if solve else None
+        elif target is not None:
+            coefs = self._fit.solve(target)
         fit, self._reads = self._fit, self._reads + 1
         if self._reads == self._users:
             self._column = self._fit = None
@@ -149,7 +153,7 @@ def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
             condition = 1.0
         else:
             x = states[:, i]
-            _, fit = designs.fit(i, y, solve=False)
+            _, fit = designs.fit(i)
             condition = fit.condition
             e_y = fit.fitted(y)
             z = fit.fitted(y * increments[:, i] / deltas[i])

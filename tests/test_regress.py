@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsde.basis import BasisSet
+from fbsde.basis import MAX_DEGREE, BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.regress import _BLOCK_ROWS, FactoredDesign, _thin_qr, project
 from fbsde.simulate import simulate_paths
@@ -229,6 +229,8 @@ class ReferenceFit:
         return self.vt.T @ ((self.ut @ qt) * self.inv_s)
 
 
+K_MAX = MAX_DEGREE + 1  # 31
+
 CONTRACT_CASES = {
     **{name: (build, ridge) for name, (build, ridge, _) in FACTOR_CASES.items()},
     # fewer rows than columns: a thin Q with fewer columns than the design
@@ -237,6 +239,10 @@ CONTRACT_CASES = {
     "k_minus_one_rows_ridge": (lambda rng: rng.standard_normal((4, 5)), 0.5),
     # the smallest design with two blocks: each of exactly _BLOCK_ROWS
     "two_exact_blocks": (lambda rng: rng.standard_normal((2 * _BLOCK_ROWS, 6)), 0.0),
+    # the largest k that BasisSet accepts, where the fixed k-word workspace
+    # is tightest: one row, k rows, k + 1 rows and a full single block
+    **{f"k_max_{rows}_rows": (lambda rng, rows=rows: rng.standard_normal((rows, K_MAX)), 0.0)
+       for rows in (1, K_MAX, K_MAX + 1, 16_666)},
 }
 
 

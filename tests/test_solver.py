@@ -8,7 +8,7 @@ from fbsde.basis import BasisSet
 from fbsde.model import (FbsdeProblem, ProblemCatalogEntry, TimeGrid, make_problem,
                          make_uniform_grid)
 from fbsde.oracle import black_scholes
-from fbsde.regress import _BLOCK_ROWS
+from fbsde.regress import _BLOCK_ROWS, FactoredDesign
 from fbsde.simulate import PathEnsemble, euler_states, simulate_paths
 import fbsde.solver as solver_module
 from fbsde.solver import (NumericalError, solve, solve_regress_later,
@@ -127,25 +127,35 @@ def test_repeated_solve_is_bit_identical():
 def test_lockstep_factors_each_shared_time_column_once(monkeypatch, family,
                                                        factorisations):
     # the now step i design is the later step i-1 design, so 1 + 9
-    # factorisations, and the two record the same condition
-    calls = []
-    real = solver_module.project
+    # factorisations, and the two record the same condition; the later step
+    # solves for alpha and beta at each of its 10 steps, the now step, which
+    # reads only fitted values, for nothing, also where it factors a column
+    calls, solves = [], []
+    real, real_solve = solver_module.project, FactoredDesign.solve
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def counting_solve(self, target):
+        solves.append(target)
+        return real_solve(self, target)
+
     monkeypatch.setattr(solver_module, "project", counting)
+    monkeypatch.setattr(FactoredDesign, "solve", counting_solve)
     problem = call_problem()
     basis = BasisSet(family, 6, problem, GRID)
     ens = simulate_paths(problem, GRID, 2000, seed=5)
     both = solve(problem, GRID, basis, ens)
-    assert len(calls) == factorisations
+    assert (len(calls), len(solves)) == (factorisations, 20)
     assert [result.scheme for result in both] == ["later", "now"]
     later, now = (result.diagnostics["condition"] for result in both)
     assert later[:-1] == now[1:]
-    alone = (solve_regress_later(problem, GRID, basis, ens),
-             solve_regress_now(problem, GRID, basis, ens))
+    alone = []
+    for single, solved in ((solve_regress_later, 20), (solve_regress_now, 0)):
+        solves.clear()
+        alone.append(single(problem, GRID, basis, ens))
+        assert len(solves) == solved
     for shared, single in zip(both, alone):
         assert (shared.y0, shared.z0) == (single.y0, single.z0)
         assert shared.diagnostics.keys() == single.diagnostics.keys()
