@@ -63,10 +63,10 @@ class FactoredDesign:
     targets.
 
     ``design`` is an M x k array, typically ``BasisSet.eval`` at the M
-    regression states; ``ridge`` adds Tikhonov rows sqrt(ridge)*I.  A
-    float64 design whose transpose is C-contiguous and writable, as
-    ``eval`` returns it, is consumed and holds each block's Q^T in
-    ``design.T[:, lo:hi]``; any other is copied once and never written.
+    regression states; ``ridge``, finite and nonnegative, adds Tikhonov
+    rows sqrt(ridge)*I.  A float64 design whose transpose is C-contiguous
+    and writable, as ``eval`` returns it, is consumed and holds each block's
+    Q^T in ``design.T[:, lo:hi]``; any other is copied once and never written.
     ``condition`` is s_max/s_min of the solved matrix (ridge rows
     included), inf for an exactly singular one.
     """
@@ -75,8 +75,8 @@ class FactoredDesign:
         a = np.asarray(design)
         if a.ndim != 2:
             raise ValueError("design must be a 2-d matrix")
-        if ridge < 0.0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0.0 <= ridge < np.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
         h = a.T
         if not (h.dtype == np.float64 and h.flags.c_contiguous and h.flags.writeable):
             h = np.array(h, dtype=np.float64, order="C")

@@ -14,11 +14,12 @@ E[Y_{t_{i+1}} | F_{t_i}] and the increment-weighted expectation defining Z
 by regressions on the time-t_i design and resolves the implicit Y equation
 with a short Picard iteration.
 
-Both schemes are step rules, from the values at t_{i+1} to those at t_i,
-of one backward loop; ``solve`` runs them in lockstep, the later step j-1
-and then the now step j at each time column j, sharing that column's one
-design, e_{j-1} at X_{t_j}, and its factorisation, which overwrites it:
-one k x M array per column.
+Both schemes are step functions, from the values at t_{i+1} to those at
+t_i, of one backward loop over the time columns j = N down to 0: the later
+step j-1, then the now step j.  Both read column j's design, e_{j-1} at
+X_{t_j}.  The later step factors it in place and hands the factorisation to
+the now step, so one k x M array serves each column; a now step alone
+factors its column itself.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class SolverResult:
     i: ``condition`` and ``max_abs_y`` for both schemes, ``alpha`` and
     ``beta`` for the later scheme, ``picard_iterations`` and
     ``picard_gap`` for the now scheme.  ``runtime_ms`` is the set-up plus
-    this scheme's own steps, which include any shared design they factored.
+    this scheme's own steps; with both schemes the later steps factor the
+    designs the two share.
     """
 
     y0: float
@@ -66,94 +68,76 @@ class SolverResult:
         return max(self.diagnostics["condition"])
 
 
-def _require_finite(arr: np.ndarray, step: int, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite {what} at step {step}")
+def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEnsemble,
+          schemes=SCHEMES, ridge: float = 0.0, picard_iters: int = 5,
+          picard_tol: float = 1e-10) -> list[SolverResult]:
+    """One result per scheme, in the given order, from one sweep over the
+    time columns j = N down to 0 that runs the later step j-1 and then the
+    now step j, whatever the given order; the later step hands its factored
+    column to the now step when both run.  Each result is bit for bit its
+    scheme's alone, the first failing step in loop order fails the sweep, and
+    y0 is the step-0 value of every path."""
+    started = time.perf_counter()
+    if paths.grid != grid:
+        raise ValueError("path ensemble was generated on a different grid")
+    if basis.grid != grid:
+        raise ValueError("basis transition was built on a different grid")
+    if basis.problem is not problem:
+        raise ValueError("basis transition was built for a different problem")
+    if not np.all(paths.states[:, 0] == problem.initial_state):
+        raise ValueError("path ensemble does not start at the problem's initial state")
+    if not schemes or len(set(schemes)) < len(schemes) or not set(schemes) <= set(SCHEMES):
+        raise ValueError(f"schemes must be distinct members of {SCHEMES}, got {schemes!r}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+    if "now" in schemes and picard_iters < 1:
+        raise ValueError("picard_iters must be at least 1")
+    if "now" in schemes and not picard_tol >= 0.0:
+        raise ValueError(f"picard_tol must be nonnegative, got {picard_tol!r}")
 
+    times, deltas = grid.times, grid.deltas
+    states, increments = paths.states, paths.increments
+    N = grid.n_steps
+    handed = None  # column j's factorisation, from the later step j-1 to the now step j
+    z0 = {}  # the now step 0 and, after the loop, the later scheme's read-off
 
-class _SharedDesign:
-    """The last factorisation, keyed by its time column j, of basis j-1 at
-    X_{t_j}, evaluated into a fresh (k, M) array that it consumes; ``project``
-    factors it if the first read gives a target, which the now step never does.
-    Dropped once every rule has read it or another column is asked for, so a
-    rule alone frees it after every step."""
+    def column(j):
+        """Basis j-1 at X_{t_j}, a fresh (k, M) array for a factorisation to consume."""
+        design = basis.eval(j - 1, states[:, j])
+        if not np.all(np.isfinite(design)):  # an invalid value: fails the asking step
+            raise FloatingPointError("non-finite basis values")
+        return design
 
-    def __init__(self, basis: BasisSet, states: np.ndarray, ridge: float, users: int):
-        self._basis, self._states, self._ridge, self._users = basis, states, ridge, users
-        self._column, self._fit, self._reads = None, None, 0
-
-    def fit(self, j: int, target=None):
-        """Coefficients of ``target`` (None if not given) and column j's factorisation."""
-        coefs = None
-        if j != self._column:
-            self._column = self._fit = None
-            design = self._basis.eval(j - 1, self._states[:, j])
-            if not np.all(np.isfinite(design)):
-                # An invalid value, which the sweep reports at the asking step.
-                raise FloatingPointError("non-finite basis values")
-            if target is None:
-                self._fit = FactoredDesign(design, ridge=self._ridge)
-            else:
-                coefs, _, self._fit = project(design, target, ridge=self._ridge)
-            self._column, self._reads = j, 0
-        elif target is not None:
-            coefs = self._fit.solve(target)
-        fit, self._reads = self._fit, self._reads + 1
-        if self._reads == self._users:
-            self._column = self._fit = None
-        return coefs, fit
-
-
-def _later_rule(problem, grid, basis, paths, designs):
-    """Step rule and z0 read-off of the regression-later scheme."""
-    times, deltas, states = grid.times, grid.deltas, paths.states
-
-    def step(i, target):
+    def later(i, y):
+        nonlocal handed
         x_next = states[:, i + 1]
-        alpha, fit = designs.fit(i + 1, target)
+        alpha, condition, fit = project(column(i + 1), y, ridge=ridge)
         z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
-        f_next = np.asarray(
-            problem.driver(times[i + 1], x_next, target, z_next), dtype=np.float64
-        )
-        _require_finite(f_next, i, "driver values")
+        f_next = np.asarray(problem.driver(times[i + 1], x_next, y, z_next), dtype=np.float64)
+        if not np.all(np.isfinite(f_next)):
+            raise NumericalError(f"non-finite driver values at step {i}")
         beta = fit.solve(f_next)
-        condition = fit.condition
-        # Free the factored design (every block's Q^T) and the pathwise
-        # fields before cond_exp_dot allocates its moment buffers: this
-        # keeps the sweep's peak down.
+        if "now" in schemes and i + 1 < N:
+            handed = fit
+        # Free the factored design (every block's Q^T), unless handed on, and the
+        # pathwise fields before cond_exp_dot allocates: this keeps the peak down.
         del fit, f_next, z_next
-
         y = basis.cond_exp_dot(i, states[:, i], alpha + deltas[i] * beta)
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
-    def initial_z(diagnostics):
-        x0 = np.array([problem.initial_state])
-        weights = diagnostics["alpha"][0] + deltas[0] * diagnostics["beta"][0]
-        sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
-        return float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
-
-    return step, initial_z
-
-
-def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
-    """Step rule and z0 read-off of the regression-now scheme, whose two
-    regressions are fitted values of column i's shared factorisation."""
-    times, deltas = grid.times, grid.deltas
-    states, increments = paths.states, paths.increments
-    z0 = float("nan")
-
-    def step(i, y):
-        nonlocal z0
+    def now(i, y):
+        nonlocal handed
         if i == 0:
             # At t_0 the conditioning sigma-algebra is trivial: regressions are means.
             x = np.asarray([problem.initial_state], dtype=np.float64)
             e_y = np.array([float(y.mean())])
-            z0 = float((y * increments[:, 0]).mean() / deltas[0])
-            z = np.asarray([z0])
+            z0["now"] = float((y * increments[:, 0]).mean() / deltas[0])
+            z = np.asarray([z0["now"]])
             condition = 1.0
         else:
             x = states[:, i]
-            _, fit = designs.fit(i)
+            fit = handed if handed is not None else FactoredDesign(column(i), ridge=ridge)
+            handed = None
             condition = fit.condition
             e_y = fit.fitted(y)
             z = fit.fitted(y * increments[:, i] / deltas[i])
@@ -173,64 +157,42 @@ def _now_rule(problem, grid, paths, designs, picard_iters, picard_tol):
         return current, {"condition": condition, "picard_iterations": iterations,
                          "picard_gap": gap}
 
-    return step, lambda diagnostics: z0
+    ys = dict.fromkeys(schemes, np.asarray(problem.terminal(states[:, N]), dtype=np.float64))
+    if not np.all(np.isfinite(ys[schemes[0]])):
+        raise NumericalError(f"non-finite terminal values at step {N}")
+    diagnostics = {scheme: {} for scheme in schemes}
+    spent = dict.fromkeys(schemes, time.perf_counter() - started)
 
+    def run(scheme, step, i):
+        began = time.perf_counter()
+        # An overflow, invalid value or division by zero fails the step at
+        # once, with the operation in the message, and never warns.
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                ys[scheme], record = step(i, ys[scheme])
+        except FloatingPointError as exc:
+            raise NumericalError(f"{exc} at step {i}") from exc
+        # One reduction both records and checks: np.max propagates NaN and inf.
+        record["max_abs_y"] = float(np.max(np.abs(ys[scheme])))
+        if not np.isfinite(record["max_abs_y"]):
+            raise NumericalError(f"non-finite fitted values at step {i}")
+        for name, value in record.items():
+            diagnostics[scheme].setdefault(name, [None] * N)[i] = value
+        spent[scheme] += time.perf_counter() - began
 
-def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEnsemble,
-          schemes=SCHEMES, ridge: float = 0.0, picard_iters: int = 5,
-          picard_tol: float = 1e-10) -> list[SolverResult]:
-    """One result per scheme, in the given order, from one lockstep sweep over
-    the time columns j = N down to 0, where the later scheme takes its step
-    j-1 and the now scheme its step j: each result is bit for bit its
-    scheme's alone, and the first failing (step, scheme) in loop order fails
-    the sweep.  y0 is the step-0 value of every path."""
-    started = time.perf_counter()
-    if paths.grid != grid:
-        raise ValueError("path ensemble was generated on a different grid")
-    if basis.grid != grid:
-        raise ValueError("basis transition was built on a different grid")
-    if basis.problem is not problem:
-        raise ValueError("basis transition was built for a different problem")
-    if not np.all(paths.states[:, 0] == problem.initial_state):
-        raise ValueError("path ensemble does not start at the problem's initial state")
-    if not schemes or any(scheme not in SCHEMES for scheme in schemes):
-        raise ValueError(f"schemes must be drawn from {SCHEMES}, got {schemes!r}")
-    if "now" in schemes and picard_iters < 1:
-        raise ValueError("picard_iters must be at least 1")
-
-    designs = _SharedDesign(basis, paths.states, ridge, len(schemes))
-    rules = [_later_rule(problem, grid, basis, paths, designs) if scheme == "later"
-             else _now_rule(problem, grid, paths, designs, picard_iters, picard_tol)
-             for scheme in schemes]
-    N = grid.n_steps
-    ys = [np.asarray(problem.terminal(paths.states[:, N]), dtype=np.float64)] * len(rules)
-    _require_finite(ys[0], N, "terminal values")
-    diagnostics: list[dict] = [{} for _ in rules]
-    spent = [time.perf_counter() - started] * len(rules)
     for j in range(N, -1, -1):
-        for r, (step, _) in enumerate(rules):
-            i = j - 1 if schemes[r] == "later" else j
-            if not 0 <= i < N:
-                continue
-            began = time.perf_counter()
-            # An overflow, invalid value or division by zero fails the step
-            # at once, with the operation in the message, and never warns.
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    ys[r], record = step(i, ys[r])
-            except FloatingPointError as exc:
-                raise NumericalError(f"{exc} at step {i}") from exc
-            # One reduction both records and checks: np.max propagates NaN and inf.
-            record["max_abs_y"] = float(np.max(np.abs(ys[r])))
-            if not np.isfinite(record["max_abs_y"]):
-                raise NumericalError(f"non-finite fitted values at step {i}")
-            for name, value in record.items():
-                diagnostics[r].setdefault(name, [None] * N)[i] = value
-            spent[r] += time.perf_counter() - began
+        if "later" in schemes and j > 0:
+            run("later", later, j - 1)
+        if "now" in schemes and j < N:
+            run("now", now, j)
 
-    results = [SolverResult(float(y[0]), initial_z(record), scheme, seconds * 1e3, record)
-               for scheme, (_, initial_z), y, record, seconds
-               in zip(schemes, rules, ys, diagnostics, spent)]
+    if "later" in schemes:  # read off the later scheme's step-0 fit
+        x0, record = np.array([problem.initial_state]), diagnostics["later"]
+        weights = record["alpha"][0] + deltas[0] * record["beta"][0]
+        sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
+        z0["later"] = float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
+    results = [SolverResult(float(ys[scheme][0]), z0[scheme], scheme, spent[scheme] * 1e3,
+                            diagnostics[scheme]) for scheme in schemes]
     if not all(np.isfinite(result.y0) and np.isfinite(result.z0) for result in results):
         raise NumericalError("non-finite initial values at step 0")
     return results
@@ -244,11 +206,9 @@ def solve_regress_later(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet,
     onto the basis at X_{t_{i+1}} (alpha), differentiate that fit for the
     pathwise Z at t_{i+1}, project the driver values (beta), then evaluate
     the fitted value at t_i through the exact conditional expectation.
-    Only one combination of the basis is needed at a time, so Z and the
-    expectation come from the basis operations on coefficient vectors
-    (``grad_dot``, ``cond_exp_dot``), and every step's design is evaluated
-    into one (k, M) buffer that its factorisation then overwrites: no other
-    (M, k) array is formed.
+    Z and the expectation come from the basis operations on coefficient
+    vectors (``grad_dot``, ``cond_exp_dot``), and each step's design is one
+    (k, M) array that its factorisation overwrites.
     The initial pair is read off the step-0 fit:
     y0 = (alpha + beta*delta_0) . cond_exp(0, x0), the step-0 value, and
     z0 = sigma(0, x0) * (alpha + beta*delta_0) . cond_exp_grad(0, x0).

@@ -101,6 +101,17 @@ def test_ridge_shrinks_solution():
         project(design, target, ridge=-1.0)
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+def test_nonfinite_ridge_rejected(ridge):
+    # a NaN ridge would fit without ridge rows; an infinite one fails in the SVD
+    rng = np.random.default_rng(7)
+    design = random_design(rng, 40, 3)
+    with pytest.raises(ValueError, match="ridge"):
+        FactoredDesign(design, ridge=ridge)
+    with pytest.raises(ValueError, match="ridge"):
+        project(design, rng.standard_normal(40), ridge=ridge)
+
+
 def test_project_on_basis_design():
     problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
     grid = make_uniform_grid(1.0, 4)

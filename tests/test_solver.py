@@ -1,3 +1,5 @@
+import dataclasses
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -151,12 +153,18 @@ def test_lockstep_factors_each_shared_time_column_once(monkeypatch, family,
     assert [result.scheme for result in both] == ["later", "now"]
     later, now = (result.diagnostics["condition"] for result in both)
     assert later[:-1] == now[1:]
+    # the given order only orders the results: the loop, and so every bit, is the same
+    calls.clear()
+    solves.clear()
+    reversed_order = solve(problem, GRID, basis, ens, ("now", "later"))
+    assert (len(calls), len(solves)) == (factorisations, 20)
+    assert [result.scheme for result in reversed_order] == ["now", "later"]
     alone = []
     for single, solved in ((solve_regress_later, 20), (solve_regress_now, 0)):
         solves.clear()
         alone.append(single(problem, GRID, basis, ens))
         assert len(solves) == solved
-    for shared, single in zip(both, alone):
+    for shared, single in [*zip(both, alone), *zip(reversed_order[::-1], alone)]:
         assert (shared.y0, shared.z0) == (single.y0, single.z0)
         assert shared.diagnostics.keys() == single.diagnostics.keys()
         for name, values in single.diagnostics.items():
@@ -186,10 +194,66 @@ def test_each_column_is_factored_in_its_evaluated_design(monkeypatch, ridge):
         assert all(np.shares_memory(design, qt) for qt, _ in factored._blocks)
 
 
+@pytest.mark.parametrize("schemes", [("later", "now"), ("now", "later"), ("later",),
+                                     ("now",)])
+def test_no_factorisation_outlives_its_last_reader(monkeypatch, schemes):
+    # a factored column (k * M words) lives from its factoring to its last
+    # reader: with the now scheme, through the later step's cond_exp_dot to
+    # the now step's fitted values, never into a Picard loop or past solve
+    live = weakref.WeakSet()
+    at_cond_exp, at_picard = {}, []
+    picard = False  # set by the now step's fitted values, before its Picard loop
+    real_init, real_fitted = FactoredDesign.__init__, FactoredDesign.fitted
+    real_cond_exp_dot = BasisSet.cond_exp_dot
+
+    def tracking_init(self, *args, **kwargs):
+        nonlocal picard
+        picard = False
+        real_init(self, *args, **kwargs)
+        live.add(self)
+
+    def tracking_fitted(self, target):
+        nonlocal picard
+        picard = True
+        return real_fitted(self, target)
+
+    def tracking_cond_exp_dot(self, i, *args):
+        nonlocal picard
+        picard = False
+        at_cond_exp[i] = len(live)
+        return real_cond_exp_dot(self, i, *args)
+
+    def tracking_driver(t, x, y, z):
+        if picard or x.shape == (1,):  # the now step's Picard loop, at t_0 too
+            at_picard.append(len(live))
+        return base.driver(t, x, y, z)
+
+    monkeypatch.setattr(FactoredDesign, "__init__", tracking_init)
+    monkeypatch.setattr(FactoredDesign, "fitted", tracking_fitted)
+    monkeypatch.setattr(BasisSet, "cond_exp_dot", tracking_cond_exp_dot)
+    base = call_problem()
+    problem = dataclasses.replace(base, driver=tracking_driver)
+    basis = BasisSet("laguerre", 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 2000, seed=5)
+    solve(problem, GRID, basis, ens, schemes)
+    assert len(live) == 0
+    N = GRID.n_steps
+    if "later" in schemes:
+        # column i+1 waits for the now step i+1; column N has no now step
+        assert sorted(at_cond_exp) == list(range(N))
+        held = 1 if "now" in schemes else 0
+        assert [at_cond_exp[i] for i in range(N - 1)] == [held] * (N - 1)
+        assert at_cond_exp[N - 1] <= held
+    if "now" in schemes:
+        assert len(at_picard) >= N and not any(at_picard)
+    else:
+        assert at_picard == []
+
+
 def test_lockstep_fails_at_first_failing_step_in_loop_order():
     # an infinite driver at t_9 fails the later scheme at its step 8 and
     # the now scheme at its step 9: both steps of time column 9, which the
-    # lockstep loop takes in the given scheme order
+    # lockstep loop takes later step first, whatever the given scheme order
     base = linear_brownian()
     problem = FbsdeProblem(
         drift=base.drift, diffusion=base.diffusion,
@@ -205,7 +269,7 @@ def test_lockstep_fails_at_first_failing_step_in_loop_order():
         solve_regress_now(problem, GRID, basis, ens)
     with pytest.raises(NumericalError, match="driver values at step 8$"):
         solve(problem, GRID, basis, ens)
-    with pytest.raises(NumericalError, match="fitted values at step 9$"):
+    with pytest.raises(NumericalError, match="driver values at step 8$"):
         solve(problem, GRID, basis, ens, ("now", "later"))
 
 
@@ -213,7 +277,7 @@ def test_unknown_scheme_rejected():
     problem = call_problem()
     basis = BasisSet("laguerre", 3, problem, GRID)
     ens = simulate_paths(problem, GRID, 100, seed=1)
-    for schemes in ((), ("later", "sideways")):
+    for schemes in ((), ("later", "sideways"), ("later", "later")):
         with pytest.raises(ValueError, match="schemes"):
             solve(problem, GRID, basis, ens, schemes)
 
@@ -558,6 +622,32 @@ def test_mismatched_inputs_rejected():
     with pytest.raises(ValueError):
         solve_regress_later(other_problem, GRID,
                             BasisSet("laguerre", 6, other_problem, GRID), ens)
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-5])
+def test_ridge_outside_its_range_rejected(ridge):
+    # nan > 0 is false, so a NaN ridge would silently be no ridge; a now-only
+    # sweep on a one-step grid factors nothing, so solve checks up front
+    problem = call_problem()
+    one_step = make_uniform_grid(1.0, 1)
+    for grid, schemes in ((GRID, ("later", "now")), (one_step, ("now",))):
+        basis = BasisSet("laguerre", 3, problem, grid)
+        ens = simulate_paths(problem, grid, 100, seed=1)
+        with pytest.raises(ValueError, match="ridge"):
+            solve(problem, grid, basis, ens, schemes, ridge=ridge)
+
+
+@pytest.mark.parametrize("picard_tol", [float("nan"), -1e-10])
+def test_picard_tol_outside_its_range_rejected(picard_tol):
+    # a NaN tolerance would stop every Picard loop after one iteration
+    problem = call_problem()
+    basis = BasisSet("laguerre", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 100, seed=1)
+    for schemes in (("now",), ("later", "now")):
+        with pytest.raises(ValueError, match="picard_tol"):
+            solve(problem, GRID, basis, ens, schemes, picard_tol=picard_tol)
+    # the later scheme runs no Picard loop: the tolerance is not its input
+    solve(problem, GRID, basis, ens, ("later",), picard_tol=picard_tol)
 
 
 def test_nonfinite_values_flag_offending_step():
