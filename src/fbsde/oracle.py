@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, ProblemCatalogEntry, TimeGrid
-from .simulate import _philox_key, _validate_seed, counter_normals
+from .simulate import _validate_seed, counter_normals
 
 __all__ = [
     "ReferenceValue",
@@ -107,13 +107,6 @@ _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 _SLAB_LEAVES = 1 << 15
 
 
-def _level_normals(key: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Entries [start, stop) of one level's flat normal stream."""
-    first = start // 4
-    z = counter_normals(key, first, (stop + 3) // 4 - first)
-    return z[start - 4 * first:stop - 4 * first]
-
-
 def nested_mc_y0(
     problem: FbsdeProblem,
     grid: TimeGrid,
@@ -149,7 +142,6 @@ def nested_mc_y0(
             f"nested run needs {leaves} leaf nodes, over the budget of {node_budget}"
         )
     times, deltas = grid.times, grid.deltas
-    keys = [_philox_key(seed, _NESTED_STREAM_BASE + level) for level in range(N)]
 
     def children(level: int, x: np.ndarray, start: int, fan: int):
         """One-step summands y_{next} + dt*f(...) of ``fan`` children of
@@ -157,7 +149,8 @@ def nested_mc_y0(
         the level's stream, plus the increment-weighted summands defining
         z.  Shape (x.size, fan)."""
         dt = deltas[level]
-        dw = _level_normals(keys[level], start, start + x.size * fan).reshape(x.size, fan)
+        dw = counter_normals(seed, _NESTED_STREAM_BASE + level, start,
+                             start + x.size * fan).reshape(x.size, fan)
         dw *= math.sqrt(dt)
         kids = (
             x

@@ -2,12 +2,14 @@
 
 Randomness contract
 -------------------
-Normals come from the Philox counter-based generator.  Each path owns a
-fixed range of counter blocks: with B = ceil(N/4) blocks per path (Philox
-emits four 64-bit words per block), the normal for (path m, step i) is a
-pure function of (seed, m, i).  Generating any contiguous path range is
-therefore a matter of advancing the counter to the range start, so chunked
-generation is bit-identical to single-shot generation.
+Normals come from the Philox counter-based generator, one stream per key
+(seed, stream); Philox emits four 64-bit words per counter block, and word
+j of a stream is a pure function of (seed, stream, j).  The paths use
+stream (seed, 0): with rows of R = 4*ceil(N/4) words, the normal for path
+m, step i is word m*R + i; the nested oracle's level i uses stream
+(seed, 0x6E657374 + i).  Drawing any contiguous range of words is a matter
+of advancing the counter to the range start, so chunked generation is
+bit-identical to single-shot generation.
 
 Each 64-bit word is reduced to its top 52 bits and mapped through the
 midpoint uniform u = (bits + 1/2) * 2**-52, which lies strictly inside
@@ -147,10 +149,6 @@ class PathEnsemble:
     seed: int
 
 
-def _philox_key(seed: int, stream: int = 0) -> np.ndarray:
-    return np.array([seed, stream], dtype=np.uint64)
-
-
 def _validate_seed(seed: int) -> int:
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -158,23 +156,24 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def counter_normals(key: np.ndarray, block_start: int, n_blocks: int,
+def counter_normals(seed: int, stream: int, start: int, stop: int,
                     width: int | None = None) -> np.ndarray:
-    """Standard normals for a contiguous counter-block range of one stream.
+    """Standard normals for words [start, stop) of the Philox stream keyed
+    by (seed, stream).
 
-    Returns 4*n_blocks values; entry j is a pure function of (key,
-    block_start*4 + j), independent of how the range is chunked.  With
-    ``width``, the range is read as rows of ceil(width/4) blocks and only
-    the first ``width`` words of each row are converted: the result is
-    the (rows, width) array of those entries.
+    Entry j is a pure function of (seed, stream, start + j), independent of
+    how the range is split.  With ``width``, the range is read as rows of
+    4*ceil(width/4) words and only the first ``width`` of each row are
+    converted: the result is the (rows, width) array of those entries.
     """
-    bg = Philox(key=key)
-    if block_start:
-        bg.advance(block_start)
-    bits = bg.random_raw(4 * n_blocks)
+    first = start // 4  # the covering counter blocks are [first, ceil(stop/4))
+    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
+    if first:
+        bg.advance(first)
+    bits = bg.random_raw(4 * ((stop + 3) // 4 - first))[start - 4 * first:stop - 4 * first]
     bits >>= np.uint64(12)
     if width is not None:
-        bits = bits.reshape(-1, 4 * _blocks_per_path(width))[:, :width]
+        bits = bits.reshape(-1, 4 * ((width + 3) // 4))[:, :width]
     # y = u - 1/2 for the midpoint uniform u, exactly: the product is exact,
     # and so is the sum, a multiple of 2**-53 below 1/2 in size.
     y = np.empty(bits.shape)
@@ -183,16 +182,6 @@ def counter_normals(key: np.ndarray, block_start: int, n_blocks: int,
     # Free the words first: the inverse CDF's scratch can then reuse them.
     del bits
     return _ndtri_centred(y)
-
-
-def _blocks_per_path(n_steps: int) -> int:
-    return (n_steps + 3) // 4
-
-
-def _path_normals(seed: int, m_start: int, m_stop: int, n_steps: int) -> np.ndarray:
-    """Unit normals for paths [m_start, m_stop), shape (m_stop-m_start, N)."""
-    B = _blocks_per_path(n_steps)
-    return counter_normals(_philox_key(seed), m_start * B, (m_stop - m_start) * B, n_steps)
 
 
 def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:
@@ -235,11 +224,12 @@ def simulate_paths(problem: FbsdeProblem, grid: TimeGrid, M: int, seed: int) -> 
     seed = _validate_seed(seed)
 
     N = grid.n_steps
+    row = 4 * ((N + 3) // 4)  # words per path: whole counter blocks
     sqrt_dt = np.sqrt(grid.deltas)
     increments = np.empty((N, M))  # time-major; transposed below
     for a in range(0, M, _CHUNK):
         b = min(a + _CHUNK, M)
-        increments[:, a:b] = (_path_normals(seed, a, b, N) * sqrt_dt).T
+        increments[:, a:b] = (counter_normals(seed, 0, a * row, b * row, N) * sqrt_dt).T
 
     increments_mi = increments.T
     states_mi = euler_states(problem, grid, increments_mi)

@@ -76,7 +76,7 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     now step j, whatever the given order; the later step hands its factored
     column to the now step when both run.  Each result is bit for bit its
     scheme's alone, the first failing step in loop order fails the sweep, and
-    y0 is the step-0 value of every path."""
+    y0 is the step-0 value at the one initial state all paths share."""
     started = time.perf_counter()
     if paths.grid != grid:
         raise ValueError("path ensemble was generated on a different grid")
@@ -98,6 +98,8 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     times, deltas = grid.times, grid.deltas
     states, increments = paths.states, paths.increments
     N = grid.n_steps
+    x0 = np.array([problem.initial_state], dtype=np.float64)  # every path's X_{t_0}
+    x0.setflags(write=False)
     handed = None  # column j's factorisation, from the later step j-1 to the now step j
     z0 = {}  # the now step 0 and, after the loop, the later scheme's read-off
 
@@ -122,14 +124,14 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         # Free the factored design (every block's Q^T), unless handed on, and the
         # pathwise fields before cond_exp_dot allocates: this keeps the peak down.
         del fit, f_next, z_next
-        y = basis.cond_exp_dot(i, states[:, i], alpha + deltas[i] * beta)
+        y = basis.cond_exp_dot(i, states[:, i] if i else x0, alpha + deltas[i] * beta)
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
     def now(i, y):
         nonlocal handed
         if i == 0:
             # At t_0 the conditioning sigma-algebra is trivial: regressions are means.
-            x = np.asarray([problem.initial_state], dtype=np.float64)
+            x = x0
             e_y = np.array([float(y.mean())])
             z0["now"] = float((y * increments[:, 0]).mean() / deltas[0])
             z = np.asarray([z0["now"]])
@@ -187,7 +189,7 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
             run("now", now, j)
 
     if "later" in schemes:  # read off the later scheme's step-0 fit
-        x0, record = np.array([problem.initial_state]), diagnostics["later"]
+        record = diagnostics["later"]
         weights = record["alpha"][0] + deltas[0] * record["beta"][0]
         sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
         z0["later"] = float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])

@@ -10,8 +10,8 @@ from numpy.random import Philox
 
 import fbsde
 from fbsde.model import FbsdeProblem, ProblemCatalogEntry, make_problem, make_uniform_grid
-from fbsde.simulate import (NumericalError, _ndtri_centred, _philox_key, counter_normals,
-                            euler_states, simulate_paths)
+from fbsde.simulate import (NumericalError, _ndtri_centred, counter_normals, euler_states,
+                            simulate_paths)
 
 EXPM2 = 0.13533528323661269189  # Cephes' exp(-2): its tails are u <= EXPM2, u > 1 - EXPM2
 
@@ -133,17 +133,17 @@ def test_determinism_across_chunk_sizes(monkeypatch):
 
 def test_counter_normals_golden_values():
     # the randomness contract: Philox words -> midpoint uniforms -> ndtri
-    z = counter_normals(_philox_key(101), 0, 3)
+    z = counter_normals(101, 0, 0, 12)
     assert z.shape == (12,)
     assert [z[j].hex() for j in (0, 5, 11)] == [
         "-0x1.1d474152b11c0p-1", "-0x1.3dd81f000bc48p-1", "0x1.072b2c8bbdd42p-2"]
-    z = counter_normals(np.array([2**64 - 1, 0x6E657375], dtype=np.uint64), 123456, 2)
+    z = counter_normals(2**64 - 1, 0x6E657375, 4 * 123456, 4 * 123458)
     assert [z[j].hex() for j in (0, 7)] == ["-0x1.ea32cde0e1d6fp-2", "-0x1.9f3f19fd393e6p+0"]
 
 
 def philox_words(n, seed):
     """n 52-bit words of one Philox stream."""
-    return Philox(key=_philox_key(seed, 5)).random_raw(n) >> np.uint64(12)
+    return Philox(key=np.array([seed, 5], dtype=np.uint64)).random_raw(n) >> np.uint64(12)
 
 
 def midpoint_ndtri(bits):
@@ -204,12 +204,19 @@ def test_importing_the_package_loads_no_scipy():
 
 @pytest.mark.parametrize("width", [1, 2, 4, 5, 10])
 def test_counter_normals_width_keeps_row_prefixes(width):
-    key = _philox_key(7, 3)
-    blocks = (width + 3) // 4
-    full = counter_normals(key, 5 * blocks, 9 * blocks)
-    rows = counter_normals(key, 5 * blocks, 9 * blocks, width)
+    row = 4 * ((width + 3) // 4)
+    full = counter_normals(7, 3, 5 * row, 14 * row)
+    rows = counter_normals(7, 3, 5 * row, 14 * row, width)
     assert rows.shape == (9, width)
-    assert np.array_equal(rows, full.reshape(9, 4 * blocks)[:, :width])
+    assert np.array_equal(rows, full.reshape(9, row)[:, :width])
+
+
+@pytest.mark.parametrize("start, stop", [(0, 1), (1, 7), (3, 4), (5, 13), (8, 8), (6, 6)])
+def test_counter_normals_ranges_are_slices_of_one_stream(start, stop):
+    # any word range, block-aligned or not, is the matching slice of one draw
+    z = counter_normals(11, 2, start, stop)
+    assert z.shape == (stop - start,)
+    assert np.array_equal(z, counter_normals(11, 2, 0, 16)[start:stop])
 
 
 def test_euler_reconstruction_is_bitwise():

@@ -291,6 +291,29 @@ def test_y0_is_the_sweeps_step_zero_value():
         assert abs(result.y0) == result.diagnostics["max_abs_y"][0], result.scheme
 
 
+@pytest.mark.parametrize("family", ["laguerre", "hermite"])
+def test_later_step_zero_reads_the_one_initial_state(monkeypatch, family):
+    # every path starts at x0, so the later step 0 takes its conditional
+    # expectation at that one state, not at M copies; the value is the one
+    # every copy would get, bit for bit
+    shapes, real_cond_exp_dot = {}, BasisSet.cond_exp_dot
+
+    def tracking_cond_exp_dot(self, i, x, weights):
+        shapes[i] = x.shape
+        return real_cond_exp_dot(self, i, x, weights)
+
+    monkeypatch.setattr(BasisSet, "cond_exp_dot", tracking_cond_exp_dot)
+    problem = call_problem()
+    basis = BasisSet(family, 6, problem, GRID)
+    ens = simulate_paths(problem, GRID, 2000, seed=5)
+    result = solve_regress_later(problem, GRID, basis, ens)
+    assert shapes == {0: (1,), **{i: (2000,) for i in range(1, GRID.n_steps)}}
+    record = result.diagnostics
+    weights = record["alpha"][0] + GRID.deltas[0] * record["beta"][0]
+    copies = real_cond_exp_dot(basis, 0, ens.states[:, 0], weights)
+    assert np.all(copies == result.y0)
+
+
 def test_error_median_nonincreasing_in_steps():
     # empirical convergence-scaling trend at large M: finer partitions do
     # not worsen the median y0 error (N = 16 added to the acceptance range)
