@@ -1,12 +1,12 @@
 """Command-line front end: run configurations, experiment orchestration,
 and CSV reports.
 
-Config format: flat ``key=value`` lines ('#' starts a comment).  Keys
-mirror the command-line flags: problem, scheme, paths, steps, k, family,
-seed, ridge, out, plus the problem parameters (S0, K, r, mu, sigma, T for
-pricing; b0, s0, x0, T for the custom linear problem).  paths/steps/k/seed
-accept comma-separated lists, which turn the run into a sweep over the
-cartesian product (deterministic order: paths, steps, k, seed).
+Config format: flat ``key=value`` lines ('#' starts a comment).  Keys:
+problem, scheme, paths, steps, k, family, seed, ridge, out (each also a
+--<key> flag), picard_iters, picard_tol, and the problem parameters (S0, K,
+r, mu, sigma, T for pricing; T for arctan; b0, s0, x0, T for custom).
+paths/steps/k/seed accept comma-separated lists, which turn the run into a
+sweep over the cartesian product (deterministic order: paths, steps, k, seed).
 
 One CSV row is emitted per (sweep point, scheme).  With scheme=both, both
 schemes consume the same path ensemble in one lockstep sweep, so their
@@ -166,7 +166,7 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
     if name not in CATALOG_DEFAULTS:
         raise ConfigError(f"key 'problem': unknown problem {name!r}")
 
-    params = dict(CATALOG_DEFAULTS[name])
+    params: dict[str, float] = {}
     values: dict[str, object] = {}
     for key, raw in mapping.items():
         if key == "problem":
@@ -195,7 +195,7 @@ def build_config(mapping: dict[str, str]) -> RunConfig:
             values[key] = int(iters)
         elif key == "out":
             values["output_path"] = raw
-        elif key in params:
+        elif key in CATALOG_DEFAULTS[name]:
             params[key] = _parse_float(key, raw)
         elif any(key in defaults for defaults in CATALOG_DEFAULTS.values()):
             raise ConfigError(f"key {key!r}: not a parameter of problem {name!r}")

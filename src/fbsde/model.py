@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -116,19 +117,34 @@ class FbsdeProblem:
 
 @dataclass(frozen=True)
 class ProblemCatalogEntry:
-    """A named catalog problem plus its scalar parameters."""
+    """A named catalog problem plus its scalar parameters.
+
+    ``parameters`` may give any of the problem's parameters; the entry
+    stores them all as floats in a read-only mapping, each one not given at
+    its default in ``CATALOG_DEFAULTS``.  An unknown problem, a name that
+    is not one of the problem's parameters, or a non-finite value raises
+    ValueError.
+    """
 
     name: str
     parameters: Mapping[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.name not in CATALOG_DEFAULTS:
+            raise ValueError(f"unknown problem {self.name!r}")
+        params = dict(CATALOG_DEFAULTS[self.name])
+        for key, value in self.parameters.items():
+            if key not in params:
+                raise ValueError(f"{key!r} is not a parameter of problem {self.name!r}")
+            params[key] = float(value)
+            if not math.isfinite(params[key]):
+                raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
+        object.__setattr__(self, "parameters", MappingProxyType(params))
+
     @classmethod
     def with_defaults(cls, name: str, **overrides: float) -> "ProblemCatalogEntry":
         """Entry with the shipped default parameters, selectively overridden."""
-        if name not in CATALOG_DEFAULTS:
-            raise ValueError(f"unknown problem {name!r}")
-        params = dict(CATALOG_DEFAULTS[name])
-        params.update(overrides)
-        return cls(name, params)
+        return cls(name, overrides)
 
 
 # Default parameters of the shipped experiment configurations.
@@ -155,33 +171,15 @@ def make_problem(entry: ProblemCatalogEntry) -> FbsdeProblem:
     custom: constant coefficients dX = b0 dt + s0 dW, zero driver, linear
     terminal phi(x) = x.
     """
-    name = entry.name
-    if name not in CATALOG_DEFAULTS:
-        raise ValueError(f"unknown problem {name!r}")
-    if name in ("call", "put"):
-        p = _require(entry, "S0", "K", "r", "mu", "sigma")
-        T = float(entry.parameters.get("T", 1.0))
-        _check_positive(K=p["K"], S0=p["S0"], sigma=p["sigma"], T=T)
-        return _pricing_problem(kind=name, T=T, **p)
-    if name == "arctan":
-        T = float(entry.parameters.get("T", 1.0))
-        return _arctan_problem(T)
-    p = {k: float(entry.parameters.get(k, default))
-         for k, default in CATALOG_DEFAULTS["custom"].items()}
+    p = entry.parameters
+    if entry.name in ("call", "put"):
+        _check_positive(K=p["K"], S0=p["S0"], sigma=p["sigma"], T=p["T"])
+        return _pricing_problem(kind=entry.name, **p)
+    if entry.name == "arctan":
+        return _arctan_problem(p["T"])
     if not p["s0"] > 0.0:
         raise ValueError("custom problem requires s0 > 0")
-    if not p["T"] > 0.0:
-        raise ValueError("custom problem requires T > 0")
     return _linear_brownian_problem(**p)
-
-
-def _require(entry: ProblemCatalogEntry, *keys: str) -> dict[str, float]:
-    out = {}
-    for key in keys:
-        if key not in entry.parameters:
-            raise ValueError(f"problem {entry.name!r} requires parameter {key!r}")
-        out[key] = float(entry.parameters[key])
-    return out
 
 
 def _check_positive(**values: float) -> None:

@@ -89,9 +89,7 @@ def reference_for(entry: ProblemCatalogEntry) -> ReferenceValue | None:
     """Closed-form reference for a catalog entry; None when there is none."""
     if entry.name in ("call", "put"):
         p = entry.parameters
-        return black_scholes(entry.name, S0=float(p["S0"]), K=float(p["K"]),
-                             r=float(p["r"]), sigma=float(p["sigma"]),
-                             T=float(p.get("T", 1.0)))
+        return black_scholes(entry.name, p["S0"], p["K"], p["r"], p["sigma"], p["T"])
     if entry.name == "arctan":
         return ReferenceValue(0.0, 0.0, "arctan_closed_form")
     return None

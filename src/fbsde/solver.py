@@ -101,7 +101,7 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     x0 = np.array([problem.initial_state], dtype=np.float64)  # every path's X_{t_0}
     x0.setflags(write=False)
     handed = None  # column j's factorisation, from the later step j-1 to the now step j
-    z0 = {}  # the now step 0 and, after the loop, the later scheme's read-off
+    z0 = {}  # each scheme's step 0 reads its initial Z
 
     def column(j):
         """Basis j-1 at X_{t_j}, a fresh (k, M) array for a factorisation to consume."""
@@ -124,7 +124,11 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         # Free the factored design (every block's Q^T), unless handed on, and the
         # pathwise fields before cond_exp_dot allocates: this keeps the peak down.
         del fit, f_next, z_next
-        y = basis.cond_exp_dot(i, states[:, i] if i else x0, alpha + deltas[i] * beta)
+        weights = alpha + deltas[i] * beta
+        y = basis.cond_exp_dot(i, states[:, i] if i else x0, weights)
+        if i == 0:  # the initial Z is read off the step-0 fit too
+            sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
+            z0["later"] = float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
         return y, {"condition": condition, "alpha": alpha, "beta": beta}
 
     def now(i, y):
@@ -188,11 +192,6 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         if "now" in schemes and j < N:
             run("now", now, j)
 
-    if "later" in schemes:  # read off the later scheme's step-0 fit
-        record = diagnostics["later"]
-        weights = record["alpha"][0] + deltas[0] * record["beta"][0]
-        sigma0 = np.asarray(problem.diffusion(times[0], x0))[0]
-        z0["later"] = float(sigma0) * float(basis.cond_exp_grad_dot(0, x0, weights)[0])
     results = [SolverResult(float(ys[scheme][0]), z0[scheme], scheme, spent[scheme] * 1e3,
                             diagnostics[scheme]) for scheme in schemes]
     if not all(np.isfinite(result.y0) and np.isfinite(result.z0) for result in results):

@@ -16,7 +16,8 @@ import fbsde.cli as cli_module
 from fbsde.basis import MAX_DEGREE
 from fbsde.cli import (REPORT_COLUMNS, ConfigError, build_config, main,
                        parse_config_text, run, rows_to_csv)
-from fbsde.model import CATALOG_DEFAULTS, make_problem, make_uniform_grid
+from fbsde.model import (CATALOG_DEFAULTS, ProblemCatalogEntry, make_problem,
+                         make_uniform_grid)
 from fbsde.simulate import euler_states, simulate_paths
 
 
@@ -66,6 +67,12 @@ def test_config_defaults_and_sweeps():
     assert config.seed == (1, 2)
     assert config.k == (4,)
     assert config.problem.parameters["T"] == 1.0
+
+
+def test_config_problem_is_the_catalog_entry():
+    assert build_config({"problem": "call"}).problem == ProblemCatalogEntry("call")
+    assert (build_config({"problem": "put", "K": "90"}).problem
+            == ProblemCatalogEntry("put", {"K": 90.0}))
 
 
 # ---------------------------------------------------------------- runs
@@ -261,7 +268,7 @@ def test_huge_but_finite_sweep_exits_0_with_finite_rows(tmp_path):
     out = tmp_path / "rows.csv"
     done = call_under_w_error(out, "1e300")
     assert done.returncode == 0, done.stderr
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [row["scheme"] for row in rows] == ["later", "now"]
     for row in rows:
         assert np.isfinite([float(row["y0_hat"]), float(row["z0_hat"])]).all()

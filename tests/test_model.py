@@ -84,14 +84,41 @@ def test_call_with_mu_equal_r_has_theta_zero():
     np.testing.assert_allclose(problem.driver(0.3, x, y, z), expected, rtol=0, atol=0)
 
 
-def test_unknown_problem_and_missing_parameter():
+def test_unknown_problem_and_missing_parameter_default():
     with pytest.raises(ValueError, match="unknown problem"):
         make_problem(ProblemCatalogEntry("bermudan", {}))
-    with pytest.raises(ValueError, match="requires parameter 'K'"):
-        make_problem(ProblemCatalogEntry("call", {"S0": 100.0, "r": 0.01,
-                                                  "mu": 0.01, "sigma": 0.02}))
+    missing_k = ProblemCatalogEntry("call", {"S0": 100.0, "r": 0.01,
+                                             "mu": 0.01, "sigma": 0.02})
+    assert missing_k.parameters["K"] == CATALOG_DEFAULTS["call"]["K"]
     with pytest.raises(ValueError, match="'K' must be positive"):
         make_problem(entry("call", K=-1.0))
+
+
+def test_entry_fills_the_defaults_as_floats():
+    assert (ProblemCatalogEntry("call", {"S0": 90}).parameters
+            == {**CATALOG_DEFAULTS["call"], "S0": 90.0})
+    assert ProblemCatalogEntry("arctan").parameters == CATALOG_DEFAULTS["arctan"]
+    assert entry("put", sigma=0.3) == ProblemCatalogEntry("put", {"sigma": 0.3})
+    with pytest.raises(TypeError):
+        entry("call").parameters["S0"] = float("nan")
+
+
+def test_entry_rejects_a_name_that_is_not_a_parameter():
+    with pytest.raises(ValueError, match="'sigam'"):
+        entry("call", sigam=0.3)
+    with pytest.raises(ValueError, match="'sigam'"):
+        ProblemCatalogEntry("call", {"sigam": 0.3})
+    with pytest.raises(ValueError, match="'K' is not a parameter of problem 'arctan'"):
+        ProblemCatalogEntry("arctan", {"K": 5.0})
+    with pytest.raises(ValueError, match="unknown problem 'bermudan'"):
+        entry("bermudan")
+
+
+@pytest.mark.parametrize("key, value", [("S0", float("nan")), ("T", float("inf")),
+                                        ("sigma", -float("inf"))])
+def test_entry_rejects_a_non_finite_value(key, value):
+    with pytest.raises(ValueError, match=f"parameter '{key}' must be finite"):
+        entry("call", **{key: value})
 
 
 def test_custom_problem_is_linear_brownian():
