@@ -37,7 +37,7 @@ from .model import (CATALOG_DEFAULTS, ProblemCatalogEntry, make_problem,
                     make_uniform_grid)
 from .oracle import reference_for
 from .simulate import _validate_seed, simulate_paths
-from .solver import NumericalError, solve
+from .solver import SCHEMES as SOLVER_SCHEMES, NumericalError, solve
 
 __all__ = [
     "RunConfig",
@@ -56,7 +56,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-SCHEMES = ("later", "now", "both")
+SCHEMES = (*SOLVER_SCHEMES, "both")
 
 _INT_LIST_KEYS = ("paths", "steps", "k", "seed")
 
@@ -234,7 +234,7 @@ def run(config: RunConfig) -> list[ReportRow]:
     (both schemes in lockstep when scheme=both), one row per scheme."""
     problem = make_problem(config.problem)
     reference = reference_for(config.problem)
-    schemes = ("later", "now") if config.scheme == "both" else (config.scheme,)
+    schemes = SOLVER_SCHEMES if config.scheme == "both" else (config.scheme,)
 
     rows: list[ReportRow] = []
     sweep = itertools.product(config.paths, config.steps, config.k, config.seed)
@@ -304,15 +304,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="fbsde",
         description="Solve decoupled FBSDEs by least-squares Monte Carlo regression.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    solve = sub.add_parser("solve", help="run the configured experiment")
-    solve.add_argument("--config", help="path to a key=value config file")
+    parser.add_argument("command", choices=("solve",),
+                        help="run the configured experiment")
+    parser.add_argument("--config", help="path to a key=value config file")
     for key in _FLAG_KEYS:
-        solve.add_argument(f"--{key}")
-    solve.add_argument("--timings", action="store_true",
-                       help="write measured runtimes (output no longer byte-reproducible)")
-    solve.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
-                       help="additional config overrides")
+        parser.add_argument(f"--{key}")
+    parser.add_argument("--timings", action="store_true",
+                        help="write measured runtimes (output no longer byte-reproducible)")
+    # With no default, a missing command would also report KEY=VALUE as required.
+    parser.add_argument("overrides", nargs="*", default=(), metavar="KEY=VALUE",
+                        help="additional config overrides")
 
     # "--key VALUE" -> "--key=VALUE": argparse would read a VALUE that starts
     # with '-' (--ridge -inf) as an option, not hand it to build_config.
@@ -323,12 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tokens[j] in flags:
             tokens[j:j + 2] = [f"{tokens[j]}={tokens[j + 1]}"]
         j += 1
-    # Overrides after a flag are left over, since argparse fills the
-    # positional overrides once; they extend it in argv order.
-    args, leftover = parser.parse_known_args(tokens)
-    unknown = [token for token in leftover if token.startswith("-")]
-    if unknown:
-        solve.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = parser.parse_intermixed_args(tokens)
     try:
         mapping: dict[str, str] = {}
         if args.config:
@@ -338,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
                 return 2
-        for item in [*args.overrides, *leftover]:
+        for item in args.overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r}: expected KEY=VALUE")
             key, value = item.split("=", 1)

@@ -104,6 +104,8 @@ _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 # rather than by the leaf count; no bit depends on it.
 _SLAB_LEAVES = 1 << 15
 
+_NODE_BUDGET = 20_000_000  # leaf count above which a nested run is rejected
+
 
 def nested_mc_y0(
     problem: FbsdeProblem,
@@ -111,7 +113,6 @@ def nested_mc_y0(
     outer: int,
     inner: int,
     seed: int,
-    node_budget: int = 20_000_000,
 ) -> NestedEstimate:
     """Brute-force Y0 estimate: the backward recursion with every
     conditional expectation replaced by an inner re-simulation.
@@ -127,7 +128,7 @@ def nested_mc_y0(
     child j of the level-i node with flat index p draws entry p*fan + j of
     the level's counter stream, so the estimate does not depend on the
     slab size and memory stays bounded by the slab, not by the leaf count.
-    ``node_budget`` therefore only guards the run time: configurations
+    ``_NODE_BUDGET`` therefore only guards the run time: configurations
     whose leaf count exceeds it are rejected.
     """
     if outer < 2 or inner < 2:
@@ -135,9 +136,9 @@ def nested_mc_y0(
     seed = _validate_seed(seed)
     N = grid.n_steps
     leaves = outer * inner ** max(N - 1, 0)
-    if leaves > node_budget:
+    if leaves > _NODE_BUDGET:
         raise ValueError(
-            f"nested run needs {leaves} leaf nodes, over the budget of {node_budget}"
+            f"nested run needs {leaves} leaf nodes, over the budget of {_NODE_BUDGET}"
         )
     times, deltas = grid.times, grid.deltas
 

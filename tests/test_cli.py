@@ -312,6 +312,13 @@ def test_overrides_after_a_flag_apply_in_argv_order(tmp_path, capsys):
     assert paths_column("--steps", "2", "paths=80", "steps=1") == "80"
     # a flag still wins over every override
     assert paths_column("paths=70", "--paths", "60", "--steps", "2", "paths=80") == "60"
+    # options may also come before the command, with the same bytes
+    flags = ["--problem", "custom", "--paths", "50", "--steps", "2", "--k", "3"]
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main([*flags, "--out", str(first), "solve", "paths=40"]) == 0
+    assert main(["solve", *flags, "paths=40", "--out", str(last)]) == 0
+    assert first.read_bytes() == last.read_bytes()
+    assert first.read_text().splitlines()[1].split(",")[REPORT_COLUMNS.index("M")] == "50"
     # a stray token or option after a flag still exits 2
     assert main(["solve", "--steps", "2", "paths=80", "stray"]) == 2
     assert "override 'stray': expected KEY=VALUE" in capsys.readouterr().err
@@ -319,6 +326,26 @@ def test_overrides_after_a_flag_apply_in_argv_order(tmp_path, capsys):
         main(["solve", "--steps", "2", "paths=80", "--stray"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --stray" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command\n"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["paths=80", "solve"], "argument command: invalid choice: 'paths=80'"),
+])
+def test_a_missing_or_unknown_command_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_lists_the_options_and_overrides(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--ridge" in out and "KEY=VALUE" in out
 
 
 def test_module_run_prints_no_warning(tmp_path):
