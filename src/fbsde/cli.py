@@ -24,6 +24,7 @@ for memory (paths x steps), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -299,7 +300,10 @@ def write_csv(rows: Sequence[ReportRow], path: str, include_timings: bool = Fals
         handle.write(text)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of `fbsde`, built on first use: parsing leaves it
+    unchanged, so every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="fbsde",
         description="Solve decoupled FBSDEs by least-squares Monte Carlo regression.",
@@ -314,7 +318,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # With no default, a missing command would also report KEY=VALUE as required.
     parser.add_argument("overrides", nargs="*", default=(), metavar="KEY=VALUE",
                         help="additional config overrides")
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     # "--key VALUE" -> "--key=VALUE": argparse would read a VALUE that starts
     # with '-' (--ridge -inf) as an option, not hand it to build_config.
     tokens = list(sys.argv[1:] if argv is None else argv)
@@ -324,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tokens[j] in flags:
             tokens[j:j + 2] = [f"{tokens[j]}={tokens[j + 1]}"]
         j += 1
-    args = parser.parse_intermixed_args(tokens)
+    args = _parser().parse_intermixed_args(tokens)
     try:
         mapping: dict[str, str] = {}
         if args.config:

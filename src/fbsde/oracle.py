@@ -101,8 +101,10 @@ _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 # Children evaluated per slab of the nested tree.  Below the root a slab
 # holds whole rows of ``inner`` children, so it bounds the temporaries
 # (draws, callables, summands) by max(_SLAB_LEAVES, inner) values per level
-# rather than by the leaf count; no bit depends on it.
-_SLAB_LEAVES = 1 << 15
+# rather than by the leaf count; no bit depends on it.  At 1 << 15 glibc
+# trimmed and refaulted the heap slab after slab: 8 200 minor faults per
+# warm 4000 x 2000 call against 300 at 1 << 14, at the same speed.
+_SLAB_LEAVES = 1 << 14
 
 _NODE_BUDGET = 20_000_000  # leaf count above which a nested run is rejected
 
@@ -124,10 +126,19 @@ def nested_mc_y0(
     sigma(T, X_T)*phi'(X_T).  The fan-out is ``outer`` at the root and
     ``inner`` below.  Meant for coarse grids (N <= 4).
 
+    The children of a level-i node draw from the counter stream (seed,
+    0x6E657374 + i).  The root's are independent: child j draws entry j,
+    so the ``outer`` root summands are i.i.d. and their standard error is
+    honest.  Below the root children come in antithetic pairs: the node
+    with flat index p draws h = ceil(fan/2) entries p*h + j, j < h, and its
+    children take xi_0, ..., xi_{h-1}, then -xi_0, ..., -xi_{fan-h-1} (with
+    an odd fan the last draw has no partner).  Each node's mean stays
+    unbiased, from half the normals.
+
     The tree is evaluated depth first in slabs of whole child rows, and
-    child j of the level-i node with flat index p draws entry p*fan + j of
-    the level's counter stream, so the estimate does not depend on the
-    slab size and memory stays bounded by the slab, not by the leaf count.
+    every draw is addressed by its entry in the level's stream, so the
+    estimate does not depend on the slab size and memory stays bounded by
+    the slab, not by the leaf count.
     ``_NODE_BUDGET`` therefore only guards the run time: configurations
     whose leaf count exceeds it are rejected.
     """
@@ -144,12 +155,19 @@ def nested_mc_y0(
 
     def children(level: int, x: np.ndarray, start: int, fan: int):
         """One-step summands y_{next} + dt*f(...) of ``fan`` children of
-        each node in x (a column), at flat indices start, start+1, ... of
-        the level's stream, plus the increment-weighted summands defining
-        z.  Shape (x.size, fan)."""
+        each node in x (a column), at flat indices start, start+1, ..., plus
+        the increment-weighted summands defining z.  Shape (x.size, fan).
+        The root's children draw entries start, start+1, ... of the level's
+        stream; below it each node draws half its row (see above)."""
         dt = deltas[level]
-        dw = counter_normals(seed, _NESTED_STREAM_BASE + level, start,
-                             start + x.size * fan).reshape(x.size, fan)
+        stream = _NESTED_STREAM_BASE + level
+        if level == 0:
+            dw = counter_normals(seed, stream, start, start + fan).reshape(1, fan)
+        else:
+            half, node = (fan + 1) // 2, start // fan
+            xi = counter_normals(seed, stream, node * half,
+                                 (node + x.size) * half).reshape(x.size, half)
+            dw = np.concatenate((xi, -xi[:, :fan - half]), axis=1)
         dw *= math.sqrt(dt)
         kids = (
             x

@@ -212,6 +212,26 @@ def test_timings_flag_fills_runtime_column_of_both_rows(tmp_path):
     assert len(times) == 2 and all(np.isfinite(t) and t > 0.0 for t in times)
 
 
+def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; nothing of one call's options,
+    # overrides or parse errors reaches the next
+    assert cli_module._parser() is cli_module._parser()
+    base = ["solve", "--problem", "custom", "--paths", "300", "--steps", "2", "--k", "3"]
+    timed, plain = tmp_path / "timed.csv", tmp_path / "plain.csv"
+    assert main([*base, "--timings", "--out", str(timed), "b0=0.5", "s0=2"]) == 0
+    with pytest.raises(SystemExit):
+        main([*base, "--stray"])
+    capsys.readouterr()
+    assert main([*base, "--out", str(plain)]) == 0
+    expected = run(build_config({"problem": "custom", "paths": "300", "steps": "2",
+                                 "k": "3"}))
+    assert plain.read_text() == rows_to_csv(expected)
+    # the first call did apply its options and overrides
+    timed_row = timed.read_text().splitlines()[1].split(",")
+    assert float(timed_row[REPORT_COLUMNS.index("runtime_ms")]) > 0.0
+    assert float(timed_row[REPORT_COLUMNS.index("y0_hat")]) != expected[0].y0_hat
+
+
 # ------------------------------------------------------------ exit codes
 
 

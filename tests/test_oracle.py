@@ -8,7 +8,7 @@ from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.oracle import (arctan_solution, black_scholes, nested_mc_y0,
                           norm_cdf, reference_for)
-from fbsde.simulate import simulate_paths
+from fbsde.simulate import counter_normals, simulate_paths
 from fbsde.solver import solve_regress_later
 
 # exact values of the shipped pricing configuration (40-digit arithmetic,
@@ -164,6 +164,23 @@ def test_nested_mc_cross_checks_regress_later():
     assert abs(later_mean - nested.y0) <= 4 * combined
 
 
+def test_nested_mc_cross_checks_regress_later_on_arctan():
+    # the nested-check benchmark's shape, scaled down: hermite k = 6 at
+    # N = 2, each path seed judged by its 4-standard-error rule, with the
+    # later SE the spread of the exact Y(t_1) over the simulated states
+    problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
+    grid = make_uniform_grid(1.0, 2)
+    nested = nested_mc_y0(problem, grid, outer=2000, inner=1000, seed=1101)
+    basis = BasisSet("hermite", 6, problem, grid)
+    for seed in (101, 102, 103, 104, 105):
+        ens = simulate_paths(problem, grid, 100_000, seed)
+        later = solve_regress_later(problem, grid, basis, ens)
+        y1, _ = arctan_solution(grid.times[1], ens.states[:, 1])
+        later_se = float(np.std(y1, ddof=1)) / math.sqrt(y1.size)
+        combined = math.hypot(nested.standard_error, later_se)
+        assert abs(later.y0 - nested.y0) <= 4 * combined
+
+
 def test_nested_mc_budget_and_determinism():
     problem = make_problem(ProblemCatalogEntry.with_defaults("custom"))
     grid = make_uniform_grid(1.0, 4)
@@ -182,14 +199,79 @@ def _nested_arctan(N, outer, inner, seed):
     return nested_mc_y0(problem, make_uniform_grid(1.0, N), outer, inner, seed)
 
 
+def _whole_tree(problem, grid, outer, inner, seed):
+    """The nested estimate from its definition, one whole level at a time:
+    the root's children take entries 0..outer-1 of stream 0x6E657374; the
+    level-i node with flat index p takes entries p*h .. p*h+h-1 of stream
+    0x6E657374 + i, h = ceil(inner/2), as its first h children and their
+    negatives, in order, as the other inner - h."""
+    N, times, deltas = grid.n_steps, grid.times, grid.deltas
+    half = (inner + 1) // 2
+
+    def means(level, x, normals):
+        # (summands, z summands) of the children of the nodes x (a column)
+        dt = deltas[level]
+        dw = normals * math.sqrt(dt)
+        kids = x + dt * problem.drift(times[level], x) + problem.diffusion(times[level], x) * dw
+        if level + 1 == N:
+            v = problem.terminal(kids)
+            z = problem.diffusion(times[N], kids) * problem.terminal_gradient(kids)
+        else:
+            xi = counter_normals(seed, 0x6E657374 + level + 1, 0, kids.size * half)
+            xi = xi.reshape(kids.size, half)
+            s, zw = means(level + 1, kids.reshape(-1, 1),
+                          np.concatenate((xi, -xi[:, :inner - half]), axis=1))
+            v = s.mean(axis=-1).reshape(kids.shape)
+            z = zw.mean(axis=-1).reshape(kids.shape)
+        return v + dt * problem.driver(times[level + 1], kids, v, z), v * dw / dt
+
+    root = np.full((1, 1), problem.initial_state)
+    summands = means(0, root, counter_normals(seed, 0x6E657374, 0, outer)[None])[0][0]
+    return summands.mean(), summands.std(ddof=1) / math.sqrt(outer)
+
+
 def test_nested_mc_matches_pinned_values():
-    # float.hex of the whole-tree evaluation that preceded slabs
-    est = _nested_arctan(2, 500, 50, 9)
-    assert est.y0.hex() == "0x1.57f6384e17fc6p-5"
-    assert est.standard_error.hex() == "0x1.f117ce826d75ap-7"
-    est = _nested_arctan(3, 37, 41, 5)
-    assert est.y0.hex() == "-0x1.e2a3b944849dap-10"
-    assert est.standard_error.hex() == "0x1.5006a2453a30dp-5"
+    # float.hex of _whole_tree, pinned so that a change to either the
+    # estimator or the reference shows; inner = 41 leaves one draw unpaired
+    problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
+    for N, outer, inner, seed, pinned in [
+        (2, 500, 50, 9, ("0x1.3def25da4942bp-5", "0x1.dfdc34dae55dfp-7")),
+        (3, 37, 41, 5, ("-0x1.560fcbaad64d1p-8", "0x1.36efd29242238p-5")),
+    ]:
+        grid = make_uniform_grid(1.0, N)
+        ref_y0, ref_se = _whole_tree(problem, grid, outer, inner, seed)
+        assert (ref_y0.hex(), ref_se.hex()) == pinned
+        est = nested_mc_y0(problem, grid, outer, inner, seed)
+        assert (est.y0.hex(), est.standard_error.hex()) == pinned
+
+
+@pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7)])
+def test_nested_mc_draws_half_below_the_root(monkeypatch, N, outer, inner):
+    # the root draws one normal per child, every node below it ceil(inner/2)
+    drawn = []
+
+    def counting(seed, stream, start, stop, width=None):
+        drawn.append(stop - start)
+        return counter_normals(seed, stream, start, stop, width)
+
+    monkeypatch.setattr("fbsde.oracle.counter_normals", counting)
+    _nested_arctan(N, outer, inner, 5)
+    nodes = [outer * inner ** (level - 1) for level in range(1, N)]
+    assert sum(drawn) == outer + sum(n * ((inner + 1) // 2) for n in nodes)
+
+
+def test_nested_mc_pairs_cancel_an_odd_payoff():
+    # phi(x) = x with zero drift and driver: with an even inner every
+    # level-1 node's children pair off around it, so each level-1 mean is the
+    # node's state up to rounding, and y0 the mean of the root children's
+    problem = make_problem(ProblemCatalogEntry.with_defaults("custom"))
+    grid = make_uniform_grid(1.0, 2)
+    outer, seed = 300, 7
+    est = nested_mc_y0(problem, grid, outer=outer, inner=64, seed=seed)
+    states = counter_normals(seed, 0x6E657374, 0, outer) * math.sqrt(grid.deltas[0])
+    assert est.y0 == pytest.approx(states.mean(), rel=0, abs=1e-14)
+    assert est.standard_error == pytest.approx(
+        states.std(ddof=1) / math.sqrt(outer), rel=1e-12)
 
 
 @pytest.mark.parametrize("N, outer, inner", [(1, 37, 41), (2, 37, 41), (3, 37, 41),
