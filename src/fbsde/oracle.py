@@ -106,6 +106,10 @@ _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 # warm 4000 x 2000 call against 300 at 1 << 14, at the same speed.
 _SLAB_LEAVES = 1 << 14
 
+# Root children per group: the subtrees of a group share their draws below
+# the root (common random numbers), and the SE is taken over group totals.
+_GROUP = 8
+
 _NODE_BUDGET = 20_000_000  # leaf count above which a nested run is rejected
 
 
@@ -127,13 +131,21 @@ def nested_mc_y0(
     ``inner`` below.  Meant for coarse grids (N <= 4).
 
     The children of a level-i node draw from the counter stream (seed,
-    0x6E657374 + i).  The root's are independent: child j draws entry j,
-    so the ``outer`` root summands are i.i.d. and their standard error is
-    honest.  Below the root children come in antithetic pairs: the node
-    with flat index p draws h = ceil(fan/2) entries p*h + j, j < h, and its
-    children take xi_0, ..., xi_{h-1}, then -xi_0, ..., -xi_{fan-h-1} (with
-    an odd fan the last draw has no partner).  Each node's mean stays
-    unbiased, from half the normals.
+    0x6E657374 + i).  The root's are independent: child j draws entry j.
+    Below the root, the root's children form C = ceil(outer/G) groups of
+    G = min(8, outer // 2) consecutive indices (the last group may be
+    short), and the subtrees of a group share their draws: common random
+    numbers.  A level-i node with flat index p = r*W + c, W = inner^(i-1),
+    r its root child and c its place in r's subtree, has the group key
+    q = (r // G)*W + c and draws h = ceil(inner/2) entries q*h + j, j < h.
+    Its children sit at m + s*xi_0, ..., m + s*xi_{h-1}, then
+    m - s*xi_0, ..., m - s*xi_{inner-h-1} (antithetic pairs; with an odd
+    inner the last draw has no partner), m and s the Euler mean and
+    standard deviation of the step, and z is the antithetic difference
+    sum_j xi_j (v_j - v_{h+j}) / (inner * sqrt(delta)).  Each node's mean
+    stays unbiased, and the groups are independent, so
+    SE^2 = C/(C-1) * sum_g (sum_{r in g} (S_r - y0))^2 / outer^2 over the
+    root summands S_r is honest; with G = 1 it is the i.i.d. formula.
 
     The tree is evaluated depth first in slabs of whole child rows, and
     every draw is addressed by its entry in the level's stream, so the
@@ -152,28 +164,41 @@ def nested_mc_y0(
             f"nested run needs {leaves} leaf nodes, over the budget of {_NODE_BUDGET}"
         )
     times, deltas = grid.times, grid.deltas
+    group = min(_GROUP, outer // 2)
+    groups = -(-outer // group)
+    half, pairs = (inner + 1) // 2, inner // 2
 
-    def children(level: int, x: np.ndarray, start: int, fan: int):
-        """One-step summands y_{next} + dt*f(...) of ``fan`` children of
-        each node in x (a column), at flat indices start, start+1, ..., plus
-        the increment-weighted summands defining z.  Shape (x.size, fan).
-        The root's children draw entries start, start+1, ... of the level's
-        stream; below it each node draws half its row (see above)."""
-        dt = deltas[level]
-        stream = _NESTED_STREAM_BASE + level
-        if level == 0:
-            dw = counter_normals(seed, stream, start, start + fan).reshape(1, fan)
-        else:
-            half, node = (fan + 1) // 2, start // fan
-            xi = counter_normals(seed, stream, node * half,
-                                 (node + x.size) * half).reshape(x.size, half)
-            dw = np.concatenate((xi, -xi[:, :fan - half]), axis=1)
-        dw *= math.sqrt(dt)
-        kids = (
-            x
-            + dt * np.asarray(problem.drift(times[level], x), dtype=np.float64)
-            + np.asarray(problem.diffusion(times[level], x), dtype=np.float64) * dw
-        )
+    def key_normals(level: int, lo: int, hi: int) -> np.ndarray:
+        """Draws of the level's group keys lo, ..., hi - 1, one row of h each."""
+        return counter_normals(seed, _NESTED_STREAM_BASE + level, lo * half,
+                               hi * half).reshape(hi - lo, half)
+
+    def node_normals(level: int, node: int, n: int) -> np.ndarray:
+        """The (n, h) draws of the level's nodes node, ..., node + n - 1."""
+        width = inner ** (level - 1)  # nodes of one root child's subtree
+        p = np.arange(node, node + n)
+        keys = p // (width * group) * width + p % width
+        lo, hi = int(keys.min()), int(keys.max()) + 1
+        if hi - lo > n:
+            # Only the end of one subtree and the start of the next in its
+            # group: the keys restart at the second, leaving a gap.
+            return np.concatenate((key_normals(level, int(keys[0]), hi),
+                                   key_normals(level, lo, int(keys[-1]) + 1)))
+        return key_normals(level, lo, hi)[keys - lo]
+
+    def summands(level: int, x: np.ndarray, xi: np.ndarray, fan: int, start: int):
+        """One-step summands y_{next} + dt*f(...) of ``fan`` children of each
+        node in x (a column), at flat indices start, start+1, ..., and the
+        children's values y_{next}; shape (x.size, fan) each.  Child j sits
+        at m + s*xi_j for j < xi.shape[1] and the rest at m - s*xi_j."""
+        t, dt = times[level], deltas[level]
+        mean = x + dt * np.asarray(problem.drift(t, x), dtype=np.float64)
+        sd = np.asarray(problem.diffusion(t, x), dtype=np.float64) * math.sqrt(dt)
+        drawn = xi.shape[1]
+        kids = np.empty((x.size, fan))
+        np.multiply(sd, xi, out=kids[:, :drawn])
+        np.subtract(mean, kids[:, :fan - drawn], out=kids[:, drawn:])
+        kids[:, :drawn] += mean
         if level + 1 == N:
             v_next = np.asarray(problem.terminal(kids), dtype=np.float64)
             z_next = (
@@ -183,20 +208,24 @@ def nested_mc_y0(
         else:
             v_next, z_next = node_means(level + 1, kids.reshape(-1), start)
             v_next, z_next = v_next.reshape(kids.shape), z_next.reshape(kids.shape)
-        summands = v_next + dt * np.asarray(
+        return v_next + dt * np.asarray(
             problem.driver(times[level + 1], kids, v_next, z_next), dtype=np.float64
-        )
-        return summands, v_next * dw / dt
+        ), v_next
 
     def node_means(level: int, x: np.ndarray, first: int):
         """(y, z) at the level's nodes x, flat indices first, first+1, ...:
         the means over each node's own row of ``inner`` children."""
         y, z = np.empty_like(x), np.empty_like(x)
+        scale = inner * math.sqrt(deltas[level])
         nodes = max(1, _SLAB_LEAVES // inner)
         for a in range(0, x.size, nodes):
             b = min(a + nodes, x.size)
-            s, zw = children(level, x[a:b, None], (first + a) * inner, inner)
-            y[a:b], z[a:b] = s.mean(axis=-1), zw.mean(axis=-1)
+            xi = node_normals(level, first + a, b - a)
+            s, v = summands(level, x[a:b, None], xi, inner, (first + a) * inner)
+            y[a:b] = s.mean(axis=-1)
+            antithetic = v[:, :half].copy()  # v_j - v_{h+j}, and v_{h-1} unpaired
+            antithetic[:, :pairs] -= v[:, half:]
+            z[a:b] = (xi * antithetic).sum(axis=-1) / scale
         return y, z
 
     # The root's row is split into slabs too; y0 and its SE are taken over
@@ -205,7 +234,9 @@ def nested_mc_y0(
     root_summands = np.empty(outer)
     for a in range(0, outer, _SLAB_LEAVES):
         b = min(a + _SLAB_LEAVES, outer)
-        root_summands[a:b] = children(0, root, a, b - a)[0][0]
+        xi = counter_normals(seed, _NESTED_STREAM_BASE, a, b).reshape(1, b - a)
+        root_summands[a:b] = summands(0, root, xi, b - a, a)[0][0]
     y0 = float(root_summands.mean())
-    se = float(root_summands.std(ddof=1) / math.sqrt(outer))
+    totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)
+    se = math.sqrt(groups / (groups - 1) * float((totals * totals).sum())) / outer
     return NestedEstimate(y0=y0, standard_error=se)

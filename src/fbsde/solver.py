@@ -44,6 +44,10 @@ __all__ = [
 
 SCHEMES = ("later", "now")
 
+# The per-step record of each scheme's step, in the order the step makes it.
+_FIELDS = {"later": ("condition", "alpha", "beta", "max_abs_y"),
+           "now": ("condition", "picard_iterations", "picard_gap", "max_abs_y")}
+
 
 @dataclass(eq=False)
 class SolverResult:
@@ -166,7 +170,8 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     ys = dict.fromkeys(schemes, np.asarray(problem.terminal(states[:, N]), dtype=np.float64))
     if not np.all(np.isfinite(ys[schemes[0]])):
         raise NumericalError(f"non-finite terminal values at step {N}")
-    diagnostics = {scheme: {} for scheme in schemes}
+    diagnostics = {scheme: {name: [None] * N for name in _FIELDS[scheme]}
+                   for scheme in schemes}
     spent = dict.fromkeys(schemes, time.perf_counter() - started)
 
     def run(scheme, step, i):
@@ -183,7 +188,7 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         if not np.isfinite(record["max_abs_y"]):
             raise NumericalError(f"non-finite fitted values at step {i}")
         for name, value in record.items():
-            diagnostics[scheme].setdefault(name, [None] * N)[i] = value
+            diagnostics[scheme][name][i] = value
         spent[scheme] += time.perf_counter() - began
 
     for j in range(N, -1, -1):

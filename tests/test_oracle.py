@@ -200,43 +200,59 @@ def _nested_arctan(N, outer, inner, seed):
 
 
 def _whole_tree(problem, grid, outer, inner, seed):
-    """The nested estimate from its definition, one whole level at a time:
-    the root's children take entries 0..outer-1 of stream 0x6E657374; the
-    level-i node with flat index p takes entries p*h .. p*h+h-1 of stream
-    0x6E657374 + i, h = ceil(inner/2), as its first h children and their
-    negatives, in order, as the other inner - h."""
+    """The nested estimate from its definition, one whole level at a time.
+    The root's children take entries 0..outer-1 of stream 0x6E657374 and
+    form groups of G = min(8, outer // 2).  Level i + 1 (i >= 0) reads a
+    table of C*W rows of h = ceil(inner/2) entries of stream
+    0x6E657374 + i + 1, C = ceil(outer/G) and W = inner^i; the node at
+    place c of root child r's subtree takes row (r // G)*W + c.  Its
+    children sit at m + s*xi and then m - s*xi for the first inner - h
+    draws, m and s the Euler mean and standard deviation, and its z pairs
+    each draw with its two children (an unpaired last draw has only one).
+    The SE runs over the C group totals of the root summands."""
     N, times, deltas = grid.n_steps, grid.times, grid.deltas
     half = (inner + 1) // 2
+    group = min(8, outer // 2)
+    groups = -(-outer // group)
 
-    def means(level, x, normals):
-        # (summands, z summands) of the children of the nodes x (a column)
-        dt = deltas[level]
-        dw = normals * math.sqrt(dt)
-        kids = x + dt * problem.drift(times[level], x) + problem.diffusion(times[level], x) * dw
-        if level + 1 == N:
+    def level(i, x, xi, fan):
+        # (summands, values) of the children of the nodes x (a column)
+        dt = deltas[i]
+        mean = x + dt * problem.drift(times[i], x)
+        sd = problem.diffusion(times[i], x) * math.sqrt(dt)
+        kids = np.concatenate((mean + sd * xi, mean - sd * xi[:, :fan - xi.shape[1]]), axis=1)
+        if i + 1 == N:
             v = problem.terminal(kids)
             z = problem.diffusion(times[N], kids) * problem.terminal_gradient(kids)
         else:
-            xi = counter_normals(seed, 0x6E657374 + level + 1, 0, kids.size * half)
-            xi = xi.reshape(kids.size, half)
-            s, zw = means(level + 1, kids.reshape(-1, 1),
-                          np.concatenate((xi, -xi[:, :inner - half]), axis=1))
-            v = s.mean(axis=-1).reshape(kids.shape)
-            z = zw.mean(axis=-1).reshape(kids.shape)
-        return v + dt * problem.driver(times[level + 1], kids, v, z), v * dw / dt
+            width = inner ** i
+            table = counter_normals(seed, 0x6E657374 + i + 1, 0, groups * width * half)
+            root_child, place = np.divmod(np.arange(kids.size), width)
+            child_xi = table.reshape(-1, half)[root_child // group * width + place]
+            s, w = level(i + 1, kids.reshape(-1, 1), child_xi, inner)
+            partner = np.pad(w[:, half:], ((0, 0), (0, inner % 2)))  # 0 for an unpaired draw
+            v = s.mean(axis=1).reshape(kids.shape)
+            z = (child_xi * (w[:, :half] - partner)).sum(axis=1).reshape(kids.shape)
+            z /= inner * math.sqrt(deltas[i + 1])
+        return v + dt * problem.driver(times[i + 1], kids, v, z), v
 
     root = np.full((1, 1), problem.initial_state)
-    summands = means(0, root, counter_normals(seed, 0x6E657374, 0, outer)[None])[0][0]
-    return summands.mean(), summands.std(ddof=1) / math.sqrt(outer)
+    summands = level(0, root, counter_normals(seed, 0x6E657374, 0, outer)[None], outer)[0][0]
+    y0 = summands.mean()
+    totals = np.array([np.cumsum(summands[a:a + group] - y0)[-1]
+                       for a in range(0, outer, group)])
+    return y0, math.sqrt(groups / (groups - 1) * (totals * totals).sum()) / outer
 
 
 def test_nested_mc_matches_pinned_values():
     # float.hex of _whole_tree, pinned so that a change to either the
-    # estimator or the reference shows; inner = 41 leaves one draw unpaired
+    # estimator or the reference shows; inner = 41 and 7 leave one draw
+    # unpaired, and outer = 9 makes groups of 4 with a short last one
     problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
     for N, outer, inner, seed, pinned in [
-        (2, 500, 50, 9, ("0x1.3def25da4942bp-5", "0x1.dfdc34dae55dfp-7")),
-        (3, 37, 41, 5, ("-0x1.560fcbaad64d1p-8", "0x1.36efd29242238p-5")),
+        (2, 500, 50, 9, ("0x1.579f09e53969ap-5", "0x1.1f3a5b693eba7p-6")),
+        (3, 37, 41, 5, ("0x1.5495e7ec83f41p-6", "0x1.cfbb637b3655ap-5")),
+        (4, 9, 7, 2, ("-0x1.404daad812b42p-7", "0x1.6e251e813825bp-6")),
     ]:
         grid = make_uniform_grid(1.0, N)
         ref_y0, ref_se = _whole_tree(problem, grid, outer, inner, seed)
@@ -246,8 +262,10 @@ def test_nested_mc_matches_pinned_values():
 
 
 @pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7)])
-def test_nested_mc_draws_half_below_the_root(monkeypatch, N, outer, inner):
-    # the root draws one normal per child, every node below it ceil(inner/2)
+def test_nested_mc_draws_once_per_group_key(monkeypatch, N, outer, inner):
+    # the root draws one word per child; below it each of the C groups
+    # draws ceil(inner/2) words per node of one root child's subtree (each
+    # slab here holds whole groups, so no key is drawn twice)
     drawn = []
 
     def counting(seed, stream, start, stop, width=None):
@@ -256,22 +274,45 @@ def test_nested_mc_draws_half_below_the_root(monkeypatch, N, outer, inner):
 
     monkeypatch.setattr("fbsde.oracle.counter_normals", counting)
     _nested_arctan(N, outer, inner, 5)
-    nodes = [outer * inner ** (level - 1) for level in range(1, N)]
-    assert sum(drawn) == outer + sum(n * ((inner + 1) // 2) for n in nodes)
+    groups = -(-outer // min(8, outer // 2))
+    keys = sum(groups * inner ** (level - 1) for level in range(1, N))
+    assert sum(drawn) == outer + keys * ((inner + 1) // 2)
 
 
 def test_nested_mc_pairs_cancel_an_odd_payoff():
     # phi(x) = x with zero drift and driver: with an even inner every
     # level-1 node's children pair off around it, so each level-1 mean is the
-    # node's state up to rounding, and y0 the mean of the root children's
+    # node's state up to rounding, y0 the mean of the root children's, and
+    # the SE the group-total formula on them: 300 = 37 groups of 8 and one of 4
     problem = make_problem(ProblemCatalogEntry.with_defaults("custom"))
     grid = make_uniform_grid(1.0, 2)
     outer, seed = 300, 7
     est = nested_mc_y0(problem, grid, outer=outer, inner=64, seed=seed)
     states = counter_normals(seed, 0x6E657374, 0, outer) * math.sqrt(grid.deltas[0])
     assert est.y0 == pytest.approx(states.mean(), rel=0, abs=1e-14)
-    assert est.standard_error == pytest.approx(
-        states.std(ddof=1) / math.sqrt(outer), rel=1e-12)
+    totals = [(states[a:a + 8] - states.mean()).sum() for a in range(0, outer, 8)]
+    se = math.sqrt(len(totals) / (len(totals) - 1) * sum(t * t for t in totals)) / outer
+    assert est.standard_error == pytest.approx(se, rel=1e-12)
+    assert est.standard_error != pytest.approx(
+        states.std(ddof=1) / math.sqrt(outer), rel=1e-3)
+
+
+def test_nested_mc_standard_error_is_honest():
+    # At inner = 20 the draws a group shares move its subtrees' means
+    # together.  Over 200 seeds the spread of y0 must match the RMS SE:
+    # 199 s^2 / SE^2 lies within the two-sided 0.1 % chi-square bounds of
+    # 199 degrees of freedom (Wilson-Hilferty).  The i.i.d. formula on the
+    # same draws read s^2 / SE^2 = 2.14; the group-total one reads 1.18.
+    problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
+    grid = make_uniform_grid(1.0, 2)
+    runs = [nested_mc_y0(problem, grid, outer=400, inner=20, seed=seed)
+            for seed in range(1, 201)]
+    y0 = np.array([run.y0 for run in runs])
+    mean_square_se = np.mean([run.standard_error ** 2 for run in runs])
+    df = y0.size - 1
+    lower, upper = (df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+                    for z in (-3.29, 3.29))
+    assert lower <= df * y0.var(ddof=1) / mean_square_se <= upper
 
 
 @pytest.mark.parametrize("N, outer, inner", [(1, 37, 41), (2, 37, 41), (3, 37, 41),
