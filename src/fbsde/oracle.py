@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, ProblemCatalogEntry, TimeGrid
-from .simulate import _validate_seed, counter_normals
+from .simulate import NumericalError, _validate_seed, counter_normals
 
 __all__ = [
     "ReferenceValue",
@@ -98,12 +98,14 @@ def reference_for(entry: ProblemCatalogEntry) -> ReferenceValue | None:
 # Streams of the nested estimator are keyed away from path simulation.
 _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 
-# Children evaluated per slab of the nested tree.  Below the root a slab
-# holds whole rows of ``inner`` children, so it bounds the temporaries
-# (draws, callables, summands) by max(_SLAB_LEAVES, inner) values per level
-# rather than by the leaf count; no bit depends on it.  At 1 << 15 glibc
-# trimmed and refaulted the heap slab after slab: 8 200 minor faults per
-# warm 4000 x 2000 call against 300 at 1 << 14, at the same speed.
+# Values per slab of the nested tree.  A slab holds whole rows of ``inner``
+# children of at most max(1, _SLAB_LEAVES // inner) members of a group tree,
+# so the temporaries (draws, callables, summands) stay within
+# max(_SLAB_LEAVES, inner) values per level, not the leaf count.  A slab
+# draws one contiguous range of its level's keys, each key once when a slab
+# holds all G members; no bit depends on it.  At 1 << 15 glibc trimmed and
+# refaulted the heap slab after slab: 8 200 minor faults per warm
+# 4000 x 2000 call against 300 at 1 << 14, at the same speed.
 _SLAB_LEAVES = 1 << 14
 
 # Root children per group: the subtrees of a group share their draws below
@@ -132,27 +134,27 @@ def nested_mc_y0(
 
     The children of a level-i node draw from the counter stream (seed,
     0x6E657374 + i).  The root's are independent: child j draws entry j.
-    Below the root, the root's children form C = ceil(outer/G) groups of
-    G = min(8, outer // 2) consecutive indices (the last group may be
-    short), and the subtrees of a group share their draws: common random
-    numbers.  A level-i node with flat index p = r*W + c, W = inner^(i-1),
-    r its root child and c its place in r's subtree, has the group key
-    q = (r // G)*W + c and draws h = ceil(inner/2) entries q*h + j, j < h.
-    Its children sit at m + s*xi_0, ..., m + s*xi_{h-1}, then
-    m - s*xi_0, ..., m - s*xi_{inner-h-1} (antithetic pairs; with an odd
-    inner the last draw has no partner), m and s the Euler mean and
-    standard deviation of the step, and z is the antithetic difference
-    sum_j xi_j (v_j - v_{h+j}) / (inner * sqrt(delta)).  Each node's mean
-    stays unbiased, and the groups are independent, so
+    They form C = ceil(outer/G) groups of G = min(8, outer // 2)
+    consecutive indices (the last group may be short), and the subtrees of
+    a group are one tree whose nodes hold one state per member: root child
+    g*G + m is member m of level-1 node g, and node q's children are the
+    next level's nodes q*inner + j.  Node q draws h = ceil(inner/2) entries
+    q*h + j, j < h, which all its members share (common random numbers).
+    A member's children sit at mu + s*xi_0, ..., mu + s*xi_{h-1}, then
+    mu - s*xi_0, ..., mu - s*xi_{inner-h-1} (antithetic pairs; with an odd
+    inner the last draw has no partner), mu and s the member's Euler mean
+    and standard deviation of the step, and its z is the antithetic
+    difference sum_j xi_j (v_j - v_{h+j}) / (inner * sqrt(delta)).  Each
+    mean stays unbiased, and the groups are independent, so
     SE^2 = C/(C-1) * sum_g (sum_{r in g} (S_r - y0))^2 / outer^2 over the
     root summands S_r is honest; with G = 1 it is the i.i.d. formula.
 
-    The tree is evaluated depth first in slabs of whole child rows, and
+    The trees are evaluated depth first in slabs of whole child rows, and
     every draw is addressed by its entry in the level's stream, so the
     estimate does not depend on the slab size and memory stays bounded by
-    the slab, not by the leaf count.
-    ``_NODE_BUDGET`` therefore only guards the run time: configurations
-    whose leaf count exceeds it are rejected.
+    the slab.  ``_NODE_BUDGET`` therefore only guards the run time.  An
+    overflow, invalid value or division by zero raises NumericalError and
+    never warns.
     """
     if outer < 2 or inner < 2:
         raise ValueError("outer and inner sample counts must be at least 2")
@@ -168,37 +170,20 @@ def nested_mc_y0(
     groups = -(-outer // group)
     half, pairs = (inner + 1) // 2, inner // 2
 
-    def key_normals(level: int, lo: int, hi: int) -> np.ndarray:
-        """Draws of the level's group keys lo, ..., hi - 1, one row of h each."""
-        return counter_normals(seed, _NESTED_STREAM_BASE + level, lo * half,
-                               hi * half).reshape(hi - lo, half)
-
-    def node_normals(level: int, node: int, n: int) -> np.ndarray:
-        """The (n, h) draws of the level's nodes node, ..., node + n - 1."""
-        width = inner ** (level - 1)  # nodes of one root child's subtree
-        p = np.arange(node, node + n)
-        keys = p // (width * group) * width + p % width
-        lo, hi = int(keys.min()), int(keys.max()) + 1
-        if hi - lo > n:
-            # Only the end of one subtree and the start of the next in its
-            # group: the keys restart at the second, leaving a gap.
-            return np.concatenate((key_normals(level, int(keys[0]), hi),
-                                   key_normals(level, lo, int(keys[-1]) + 1)))
-        return key_normals(level, lo, hi)[keys - lo]
-
     def summands(level: int, x: np.ndarray, xi: np.ndarray, fan: int, start: int):
-        """One-step summands y_{next} + dt*f(...) of ``fan`` children of each
-        node in x (a column), at flat indices start, start+1, ..., and the
-        children's values y_{next}; shape (x.size, fan) each.  Child j sits
-        at m + s*xi_j for j < xi.shape[1] and the rest at m - s*xi_j."""
+        """Summands y_{next} + dt*f(...) and values y_{next} of ``fan``
+        children of each member of the nodes x, shape (members, nodes, 1),
+        the first child being the next level's node ``start``; shape
+        (members, nodes, fan) each.  Child j sits at mu + s*xi_j for
+        j < xi.shape[-1] and the rest at mu - s*xi_j."""
         t, dt = times[level], deltas[level]
         mean = x + dt * np.asarray(problem.drift(t, x), dtype=np.float64)
         sd = np.asarray(problem.diffusion(t, x), dtype=np.float64) * math.sqrt(dt)
-        drawn = xi.shape[1]
-        kids = np.empty((x.size, fan))
-        np.multiply(sd, xi, out=kids[:, :drawn])
-        np.subtract(mean, kids[:, :fan - drawn], out=kids[:, drawn:])
-        kids[:, :drawn] += mean
+        drawn = xi.shape[-1]
+        kids = np.empty(x.shape[:-1] + (fan,))
+        np.multiply(sd, xi, out=kids[..., :drawn])
+        np.subtract(mean, kids[..., :fan - drawn], out=kids[..., drawn:])
+        kids[..., :drawn] += mean
         if level + 1 == N:
             v_next = np.asarray(problem.terminal(kids), dtype=np.float64)
             z_next = (
@@ -206,37 +191,51 @@ def nested_mc_y0(
                 * np.asarray(problem.terminal_gradient(kids), dtype=np.float64)
             )
         else:
-            v_next, z_next = node_means(level + 1, kids.reshape(-1), start)
+            v_next, z_next = node_means(level + 1, kids.reshape(len(kids), -1), start)
             v_next, z_next = v_next.reshape(kids.shape), z_next.reshape(kids.shape)
         return v_next + dt * np.asarray(
             problem.driver(times[level + 1], kids, v_next, z_next), dtype=np.float64
         ), v_next
 
     def node_means(level: int, x: np.ndarray, first: int):
-        """(y, z) at the level's nodes x, flat indices first, first+1, ...:
-        the means over each node's own row of ``inner`` children."""
+        """(y, z) of the members x, shape (members, nodes), of the level's
+        nodes first, first+1, ...: each member's means over its own children."""
         y, z = np.empty_like(x), np.empty_like(x)
         scale = inner * math.sqrt(deltas[level])
-        nodes = max(1, _SLAB_LEAVES // inner)
-        for a in range(0, x.size, nodes):
-            b = min(a + nodes, x.size)
-            xi = node_normals(level, first + a, b - a)
-            s, v = summands(level, x[a:b, None], xi, inner, (first + a) * inner)
-            y[a:b] = s.mean(axis=-1)
-            antithetic = v[:, :half].copy()  # v_j - v_{h+j}, and v_{h-1} unpaired
-            antithetic[:, :pairs] -= v[:, half:]
-            z[a:b] = (xi * antithetic).sum(axis=-1) / scale
+        nodes = max(1, _SLAB_LEAVES // (inner * len(x)))
+        for a in range(0, x.shape[1], nodes):
+            b = min(a + nodes, x.shape[1])
+            xi = counter_normals(seed, _NESTED_STREAM_BASE + level, (first + a) * half,
+                                 (first + b) * half).reshape(b - a, half)
+            s, v = summands(level, x[:, a:b, None], xi, inner, (first + a) * inner)
+            y[:, a:b] = s.mean(axis=-1)
+            antithetic = v[..., :half].copy()  # v_j - v_{h+j}, and v_{h-1} unpaired
+            antithetic[..., :pairs] -= v[..., half:]
+            z[:, a:b] = (xi * antithetic).sum(axis=-1) / scale
         return y, z
 
-    # The root's row is split into slabs too; y0 and its SE are taken over
-    # all ``outer`` summands at once.
-    root = np.asarray([[problem.initial_state]], dtype=np.float64)
-    root_summands = np.empty(outer)
-    for a in range(0, outer, _SLAB_LEAVES):
-        b = min(a + _SLAB_LEAVES, outer)
-        xi = counter_normals(seed, _NESTED_STREAM_BASE, a, b).reshape(1, b - a)
-        root_summands[a:b] = summands(0, root, xi, b - a, a)[0][0]
-    y0 = float(root_summands.mean())
-    totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)
-    se = math.sqrt(groups / (groups - 1) * float((totals * totals).sum())) / outer
+    # Root child g*G + m is the one child of member m's own copy of the
+    # root, in slabs of groups and of members; a short last group is padded
+    # with zero draws whose summands are dropped.
+    members = max(1, _SLAB_LEAVES // inner)
+    span = max(1, _SLAB_LEAVES // group)
+    root_summands = np.empty((groups, group))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for a in range(0, groups, span):
+                b = min(a + span, groups)
+                stop = min(b * group, outer)
+                xi = np.zeros((b - a) * group)
+                xi[:stop - a * group] = counter_normals(seed, _NESTED_STREAM_BASE, a * group, stop)
+                xi = xi.reshape(b - a, group).T[..., None]  # (members, groups, 1)
+                for m in range(0, group, members):
+                    n = min(m + members, group)
+                    root = np.full((n - m, b - a, 1), problem.initial_state)
+                    root_summands[a:b, m:n] = summands(0, root, xi[m:n], 1, a)[0][..., 0].T
+            root_summands = root_summands.reshape(-1)[:outer]
+            y0 = float(root_summands.mean())
+            totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)
+            se = math.sqrt(groups / (groups - 1) * float((totals * totals).sum())) / outer
+    except FloatingPointError as exc:
+        raise NumericalError(f"{exc} in the nested estimate") from exc
     return NestedEstimate(y0=y0, standard_error=se)

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fbsde import oracle
 from fbsde.basis import BasisSet
 from fbsde.model import ProblemCatalogEntry, make_problem, make_uniform_grid
 from fbsde.oracle import (arctan_solution, black_scholes, nested_mc_y0,
                           norm_cdf, reference_for)
-from fbsde.simulate import counter_normals, simulate_paths
+from fbsde.simulate import NumericalError, counter_normals, simulate_paths
 from fbsde.solver import solve_regress_later
 
 # exact values of the shipped pricing configuration (40-digit arithmetic,
@@ -261,11 +262,13 @@ def test_nested_mc_matches_pinned_values():
         assert (est.y0.hex(), est.standard_error.hex()) == pinned
 
 
-@pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7)])
+@pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7),
+                                             (3, 37, 41)])
 def test_nested_mc_draws_once_per_group_key(monkeypatch, N, outer, inner):
-    # the root draws one word per child; below it each of the C groups
-    # draws ceil(inner/2) words per node of one root child's subtree (each
-    # slab here holds whole groups, so no key is drawn twice)
+    # the root draws one word per child; below it each node of the C group
+    # trees draws ceil(inner/2) words once whenever a slab holds the rows of
+    # all G members.  A slab of 100 holds 2 of 37 x 41's 8 members, so each
+    # chunk of members draws the keys once: words = outer + 4 * keys * h
     drawn = []
 
     def counting(seed, stream, start, stop, width=None):
@@ -273,10 +276,14 @@ def test_nested_mc_draws_once_per_group_key(monkeypatch, N, outer, inner):
         return counter_normals(seed, stream, start, stop, width)
 
     monkeypatch.setattr("fbsde.oracle.counter_normals", counting)
-    _nested_arctan(N, outer, inner, 5)
     groups = -(-outer // min(8, outer // 2))
     keys = sum(groups * inner ** (level - 1) for level in range(1, N))
-    assert sum(drawn) == outer + keys * ((inner + 1) // 2)
+    for slab in (oracle._SLAB_LEAVES, 100):
+        monkeypatch.setattr("fbsde.oracle._SLAB_LEAVES", slab)
+        drawn.clear()
+        _nested_arctan(N, outer, inner, 5)
+        chunks = 4 if (inner, slab) == (41, 100) else 1
+        assert sum(drawn) == outer + chunks * keys * ((inner + 1) // 2), slab
 
 
 def test_nested_mc_pairs_cancel_an_odd_payoff():
@@ -326,14 +333,27 @@ def test_nested_mc_independent_of_slab_size(monkeypatch, N, outer, inner):
         assert _nested_arctan(N, outer, inner, 5) == base
 
 
-def test_nested_mc_memory_is_bounded_by_the_slab():
-    # 4M leaves; the whole-tree evaluation peaked at 183 MiB here
-    problem = make_problem(ProblemCatalogEntry.with_defaults("call"))
+@pytest.mark.parametrize("name, outer, inner", [("call", 2000, 2000), ("arctan", 16, 100_000)])
+def test_nested_mc_memory_is_bounded_by_the_slab(name, outer, inner):
+    # 4M leaves, where the whole-tree evaluation peaked at 183 MiB, and 1.6M
+    # leaves under 2 groups of 8 members with inner > _SLAB_LEAVES / 8,
+    # where slabs of whole groups peaked at 52 MiB
+    problem = make_problem(ProblemCatalogEntry.with_defaults(name))
     grid = make_uniform_grid(1.0, 2)
     tracemalloc.start()
     try:
-        nested_mc_y0(problem, grid, outer=2000, inner=2000, seed=42)
+        nested_mc_y0(problem, grid, outer=outer, inner=inner, seed=42)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("name, parameter, value", [("call", "sigma", 1e200),
+                                                     ("custom", "s0", 1e300)])
+def test_nested_mc_overflow_raises_numerical_error(name, parameter, value):
+    # the package's numerical-failure contract: an overflow fails the
+    # estimate at once, names the operation, and never warns
+    problem = make_problem(ProblemCatalogEntry.with_defaults(name, **{parameter: value}))
+    with pytest.raises(NumericalError, match="overflow"):
+        nested_mc_y0(problem, make_uniform_grid(1.0, 2), outer=20, inner=10, seed=1)
