@@ -125,10 +125,11 @@ def nested_mc_y0(
     """Brute-force Y0 estimate: the backward recursion with every
     conditional expectation replaced by an inner re-simulation.
 
-    From each node the one-step values satisfy
-    y_i = mean[y_{i+1} + delta_i * f(t_{i+1}, X_{i+1}, y_{i+1}, z_{i+1})]
-    (explicit driver evaluation at t_{i+1}, so no Picard loop) and
-    z_i = mean[y_{i+1} * dW_i] / delta_i, with terminal values phi(X_T) and
+    From each node the one-step values are y_i = mean[s] and
+    z_i = mean[s * dW_i] / delta_i over the children's summands
+    s = y_{i+1} + delta_i * f(t_{i+1}, X_{i+1}, y_{i+1}, z_{i+1}) (explicit
+    driver evaluation, no Picard loop; z by the later scheme's rule, not
+    mean[y_{i+1} * dW_i] / delta_i), with terminal values phi(X_T) and
     sigma(T, X_T)*phi'(X_T).  The fan-out is ``outer`` at the root and
     ``inner`` below.  Meant for coarse grids (N <= 4).
 
@@ -140,11 +141,11 @@ def nested_mc_y0(
     g*G + m is member m of level-1 node g, and node q's children are the
     next level's nodes q*inner + j.  Node q draws h = ceil(inner/2) entries
     q*h + j, j < h, which all its members share (common random numbers).
-    A member's children sit at mu + s*xi_0, ..., mu + s*xi_{h-1}, then
-    mu - s*xi_0, ..., mu - s*xi_{inner-h-1} (antithetic pairs; with an odd
-    inner the last draw has no partner), mu and s the member's Euler mean
+    A member's children sit at mu + sd*xi_0, ..., mu + sd*xi_{h-1}, then
+    mu - sd*xi_0, ..., mu - sd*xi_{inner-h-1} (antithetic pairs; with an odd
+    inner the last draw has no partner), mu and sd the member's Euler mean
     and standard deviation of the step, and its z is the antithetic
-    difference sum_j xi_j (v_j - v_{h+j}) / (inner * sqrt(delta)).  Each
+    difference sum_j xi_j (s_j - s_{h+j}) / (inner * sqrt(delta)).  Each
     mean stays unbiased, and the groups are independent, so
     SE^2 = C/(C-1) * sum_g (sum_{r in g} (S_r - y0))^2 / outer^2 over the
     root summands S_r is honest; with G = 1 it is the i.i.d. formula.
@@ -171,11 +172,10 @@ def nested_mc_y0(
     half, pairs = (inner + 1) // 2, inner // 2
 
     def summands(level: int, x: np.ndarray, xi: np.ndarray, fan: int, start: int):
-        """Summands y_{next} + dt*f(...) and values y_{next} of ``fan``
-        children of each member of the nodes x, shape (members, nodes, 1),
-        the first child being the next level's node ``start``; shape
-        (members, nodes, fan) each.  Child j sits at mu + s*xi_j for
-        j < xi.shape[-1] and the rest at mu - s*xi_j."""
+        """Summands y_{next} + dt*f(...) of ``fan`` children of each member
+        of the nodes x, shape (members, nodes, 1), the first child being the
+        next level's node ``start``; shape (members, nodes, fan).  Child j
+        sits at mu + sd*xi_j for j < xi.shape[-1] and the rest at mu - sd*xi_j."""
         t, dt = times[level], deltas[level]
         mean = x + dt * np.asarray(problem.drift(t, x), dtype=np.float64)
         sd = np.asarray(problem.diffusion(t, x), dtype=np.float64) * math.sqrt(dt)
@@ -195,7 +195,7 @@ def nested_mc_y0(
             v_next, z_next = v_next.reshape(kids.shape), z_next.reshape(kids.shape)
         return v_next + dt * np.asarray(
             problem.driver(times[level + 1], kids, v_next, z_next), dtype=np.float64
-        ), v_next
+        )
 
     def node_means(level: int, x: np.ndarray, first: int):
         """(y, z) of the members x, shape (members, nodes), of the level's
@@ -207,10 +207,10 @@ def nested_mc_y0(
             b = min(a + nodes, x.shape[1])
             xi = counter_normals(seed, _NESTED_STREAM_BASE + level, (first + a) * half,
                                  (first + b) * half).reshape(b - a, half)
-            s, v = summands(level, x[:, a:b, None], xi, inner, (first + a) * inner)
+            s = summands(level, x[:, a:b, None], xi, inner, (first + a) * inner)
             y[:, a:b] = s.mean(axis=-1)
-            antithetic = v[..., :half].copy()  # v_j - v_{h+j}, and v_{h-1} unpaired
-            antithetic[..., :pairs] -= v[..., half:]
+            antithetic = s[..., :half].copy()  # s_j - s_{h+j}, and s_{h-1} unpaired
+            antithetic[..., :pairs] -= s[..., half:]
             z[:, a:b] = (xi * antithetic).sum(axis=-1) / scale
         return y, z
 
@@ -231,7 +231,7 @@ def nested_mc_y0(
                 for m in range(0, group, members):
                     n = min(m + members, group)
                     root = np.full((n - m, b - a, 1), problem.initial_state)
-                    root_summands[a:b, m:n] = summands(0, root, xi[m:n], 1, a)[0][..., 0].T
+                    root_summands[a:b, m:n] = summands(0, root, xi[m:n], 1, a)[..., 0].T
             root_summands = root_summands.reshape(-1)[:outer]
             y0 = float(root_summands.mean())
             totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)

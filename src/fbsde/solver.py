@@ -80,7 +80,9 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     now step j, whatever the given order; the later step hands its factored
     column to the now step when both run.  Each result is bit for bit its
     scheme's alone, the first failing step in loop order fails the sweep, and
-    y0 is the step-0 value at the one initial state all paths share."""
+    y0 is the step-0 value at the one initial state all paths share.  An
+    ensemble with a non-finite state raises NumericalError before the first
+    step: from finite states every basis value is finite or its step fails."""
     started = time.perf_counter()
     if paths.grid != grid:
         raise ValueError("path ensemble was generated on a different grid")
@@ -90,6 +92,8 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         raise ValueError("basis transition was built for a different problem")
     if not np.all(paths.states[:, 0] == problem.initial_state):
         raise ValueError("path ensemble does not start at the problem's initial state")
+    if not np.isfinite(paths.states).all():
+        raise NumericalError("non-finite states in the path ensemble")
     if not schemes or len(set(schemes)) < len(schemes) or not set(schemes) <= set(SCHEMES):
         raise ValueError(f"schemes must be distinct members of {SCHEMES}, got {schemes!r}")
     if not 0.0 <= ridge < np.inf:
@@ -107,17 +111,10 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     handed = None  # column j's factorisation, from the later step j-1 to the now step j
     z0 = {}  # each scheme's step 0 reads its initial Z
 
-    def column(j):
-        """Basis j-1 at X_{t_j}, a fresh (k, M) array for a factorisation to consume."""
-        design = basis.eval(j - 1, states[:, j])
-        if not np.all(np.isfinite(design)):  # an invalid value: fails the asking step
-            raise FloatingPointError("non-finite basis values")
-        return design
-
     def later(i, y):
         nonlocal handed
         x_next = states[:, i + 1]
-        alpha, condition, fit = project(column(i + 1), y, ridge=ridge)
+        alpha, condition, fit = project(basis.eval(i, x_next), y, ridge=ridge)
         z_next = basis.grad_dot(i, x_next, alpha) * problem.diffusion(times[i + 1], x_next)
         f_next = np.asarray(problem.driver(times[i + 1], x_next, y, z_next), dtype=np.float64)
         if not np.all(np.isfinite(f_next)):
@@ -146,7 +143,7 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
             condition = 1.0
         else:
             x = states[:, i]
-            fit = handed if handed is not None else FactoredDesign(column(i), ridge=ridge)
+            fit = handed or FactoredDesign(basis.eval(i - 1, x), ridge=ridge)
             handed = None
             condition = fit.condition
             e_y = fit.fitted(y)

@@ -209,7 +209,8 @@ def _whole_tree(problem, grid, outer, inner, seed):
     place c of root child r's subtree takes row (r // G)*W + c.  Its
     children sit at m + s*xi and then m - s*xi for the first inner - h
     draws, m and s the Euler mean and standard deviation, and its z pairs
-    each draw with its two children (an unpaired last draw has only one).
+    each draw with the summands of its two children (an unpaired last draw
+    has only one).
     The SE runs over the C group totals of the root summands."""
     N, times, deltas = grid.n_steps, grid.times, grid.deltas
     half = (inner + 1) // 2
@@ -217,7 +218,7 @@ def _whole_tree(problem, grid, outer, inner, seed):
     groups = -(-outer // group)
 
     def level(i, x, xi, fan):
-        # (summands, values) of the children of the nodes x (a column)
+        # summands of the children of the nodes x (a column)
         dt = deltas[i]
         mean = x + dt * problem.drift(times[i], x)
         sd = problem.diffusion(times[i], x) * math.sqrt(dt)
@@ -230,15 +231,15 @@ def _whole_tree(problem, grid, outer, inner, seed):
             table = counter_normals(seed, 0x6E657374 + i + 1, 0, groups * width * half)
             root_child, place = np.divmod(np.arange(kids.size), width)
             child_xi = table.reshape(-1, half)[root_child // group * width + place]
-            s, w = level(i + 1, kids.reshape(-1, 1), child_xi, inner)
-            partner = np.pad(w[:, half:], ((0, 0), (0, inner % 2)))  # 0 for an unpaired draw
+            s = level(i + 1, kids.reshape(-1, 1), child_xi, inner)
+            partner = np.pad(s[:, half:], ((0, 0), (0, inner % 2)))  # 0 for an unpaired draw
             v = s.mean(axis=1).reshape(kids.shape)
-            z = (child_xi * (w[:, :half] - partner)).sum(axis=1).reshape(kids.shape)
+            z = (child_xi * (s[:, :half] - partner)).sum(axis=1).reshape(kids.shape)
             z /= inner * math.sqrt(deltas[i + 1])
-        return v + dt * problem.driver(times[i + 1], kids, v, z), v
+        return v + dt * problem.driver(times[i + 1], kids, v, z)
 
     root = np.full((1, 1), problem.initial_state)
-    summands = level(0, root, counter_normals(seed, 0x6E657374, 0, outer)[None], outer)[0][0]
+    summands = level(0, root, counter_normals(seed, 0x6E657374, 0, outer)[None], outer)[0]
     y0 = summands.mean()
     totals = np.array([np.cumsum(summands[a:a + group] - y0)[-1]
                        for a in range(0, outer, group)])
@@ -251,15 +252,59 @@ def test_nested_mc_matches_pinned_values():
     # unpaired, and outer = 9 makes groups of 4 with a short last one
     problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
     for N, outer, inner, seed, pinned in [
-        (2, 500, 50, 9, ("0x1.579f09e53969ap-5", "0x1.1f3a5b693eba7p-6")),
-        (3, 37, 41, 5, ("0x1.5495e7ec83f41p-6", "0x1.cfbb637b3655ap-5")),
-        (4, 9, 7, 2, ("-0x1.404daad812b42p-7", "0x1.6e251e813825bp-6")),
+        (2, 500, 50, 9, ("0x1.ac8b158422eedp-5", "0x1.25ed01fe79279p-6")),
+        (3, 37, 41, 5, ("0x1.ebce02ea3ce76p-6", "0x1.d31facfb9e2ebp-5")),
+        (4, 9, 7, 2, ("-0x1.8ab51e1113872p-10", "0x1.785e3ea2e4f8ep-6")),
     ]:
         grid = make_uniform_grid(1.0, N)
         ref_y0, ref_se = _whole_tree(problem, grid, outer, inner, seed)
         assert (ref_y0.hex(), ref_se.hex()) == pinned
         est = nested_mc_y0(problem, grid, outer, inner, seed)
         assert (est.y0.hex(), est.standard_error.hex()) == pinned
+
+
+def _gauss_hermite_tree(problem, grid, z_from, nodes=60):
+    """y0 of the nested recursion with every mean over a node's children
+    replaced by ``nodes``-point Gauss-Hermite quadrature: y_i = E[s] over
+    the children's summands s = v + delta_i * f(t_{i+1}, X', v, z'), and
+    z_i = E[w * dW_i] / delta_i with w = z_from(s, v), v the children's
+    values.  Deterministic, and built without fbsde.oracle or BasisSet."""
+    N, times, deltas = grid.n_steps, grid.times, grid.deltas
+    xi, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    weights = weights / math.sqrt(2.0 * math.pi)
+
+    def node(i, x):
+        dt = deltas[i]
+        kids = (x + dt * problem.drift(times[i], x)
+                + problem.diffusion(times[i], x) * math.sqrt(dt) * xi[:, None])
+        if i + 1 == N:
+            v = problem.terminal(kids)
+            z = problem.diffusion(times[N], kids) * problem.terminal_gradient(kids)
+        else:
+            v, z = node(i + 1, kids.reshape(-1)).reshape(2, *kids.shape)
+        s = v + dt * problem.driver(times[i + 1], kids, v, z)
+        return np.stack((weights @ s, weights @ (z_from(s, v) * xi[:, None]) / math.sqrt(dt)))
+
+    return float(node(0, np.array([problem.initial_state]))[0, 0])
+
+
+def test_nested_mc_takes_z_by_the_later_rule():
+    # The two Z rules are consistent as delta -> 0 but far apart on arctan
+    # at N = 2.  The oracle's y0, pooled over three seeds (SE ~1.1e-3),
+    # lies within 4 SE of the later rule's tree and ~10 SE away from the
+    # classical explicit rule's, so a wrong rule fails.
+    problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
+    grid = make_uniform_grid(1.0, 2)
+    later = _gauss_hermite_tree(problem, grid, lambda s, v: s)
+    explicit = _gauss_hermite_tree(problem, grid, lambda s, v: v)
+    assert later == pytest.approx(0.0314364102, rel=0, abs=1e-9)
+    assert explicit == pytest.approx(0.0211067474, rel=0, abs=1e-9)
+    runs = [nested_mc_y0(problem, grid, outer=32_000, inner=100, seed=seed)
+            for seed in (1101, 1102, 1103)]
+    pooled = sum(run.y0 for run in runs) / len(runs)
+    pooled_se = math.sqrt(sum(run.standard_error ** 2 for run in runs)) / len(runs)
+    assert abs(pooled - later) <= 4 * pooled_se
+    assert abs(pooled - explicit) > 4 * pooled_se
 
 
 @pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7),

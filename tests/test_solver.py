@@ -702,6 +702,32 @@ def test_nonfinite_terminal_values_flag_step_n():
             solve(problem, GRID, basis, ens)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_state_rejects_the_ensemble_before_any_step(bad):
+    # one non-finite state inside the ensemble fails every scheme set at
+    # entry: neither the terminal values nor any step's driver are evaluated
+    base = linear_brownian()
+    calls = []
+
+    def counting(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+        return counted
+
+    problem = dataclasses.replace(base, terminal=counting("terminal", base.terminal),
+                                  driver=counting("driver", base.driver))
+    basis = BasisSet("hermite", 3, problem, GRID)
+    ens = simulate_paths(problem, GRID, 200, seed=2)
+    states = ens.states.copy(order="F")
+    states[17, 5] = bad
+    broken = PathEnsemble(states, ens.increments, GRID, ens.seed)
+    for schemes in (("later",), ("now",), ("later", "now")):
+        with pytest.raises(NumericalError, match="^non-finite states in the path ensemble$"):
+            solve(problem, GRID, basis, broken, schemes)
+    assert calls == []
+
+
 def test_nan_driver_stops_picard_at_first_iteration():
     # a NaN gap is not progress: the loop stops and the finite check raises
     base = linear_brownian()
