@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FbsdeProblem, ProblemCatalogEntry, TimeGrid
-from .simulate import NumericalError, _validate_seed, counter_normals
+from .simulate import _numerical_guard, _validate_seed, counter_normals
 
 __all__ = [
     "ReferenceValue",
@@ -98,14 +98,14 @@ def reference_for(entry: ProblemCatalogEntry) -> ReferenceValue | None:
 # Streams of the nested estimator are keyed away from path simulation.
 _NESTED_STREAM_BASE = 0x6E65_7374  # "nest"
 
-# Values per slab of the nested tree.  A slab holds whole rows of ``inner``
-# children of at most max(1, _SLAB_LEAVES // inner) members of a group tree,
-# so the temporaries (draws, callables, summands) stay within
-# max(_SLAB_LEAVES, inner) values per level, not the leaf count.  A slab
-# draws one contiguous range of its level's keys, each key once when a slab
-# holds all G members; no bit depends on it.  At 1 << 15 glibc trimmed and
-# refaulted the heap slab after slab: 8 200 minor faults per warm
-# 4000 x 2000 call against 300 at 1 << 14, at the same speed.
+# Values per slab of the nested tree.  A slab evaluates whole rows of
+# ``inner`` children of at most max(1, _SLAB_LEAVES // inner) members of a
+# group tree at a time, so the temporaries (draws, callables, summands) stay
+# within max(_SLAB_LEAVES, inner) values per level, not the leaf count.  A
+# slab draws one contiguous range of its level's keys once for all its
+# members; no bit depends on it.  At 1 << 15 glibc trimmed and refaulted the
+# heap slab after slab: 8 200 minor faults per warm 4000 x 2000 call against
+# 300 at 1 << 14, at the same speed.
 _SLAB_LEAVES = 1 << 14
 
 # Root children per group: the subtrees of a group share their draws below
@@ -153,9 +153,11 @@ def nested_mc_y0(
     The trees are evaluated depth first in slabs of whole child rows, and
     every draw is addressed by its entry in the level's stream, so the
     estimate does not depend on the slab size and memory stays bounded by
-    the slab.  ``_NODE_BUDGET`` therefore only guards the run time.  An
-    overflow, invalid value or division by zero raises NumericalError and
-    never warns.
+    the slab; ``_NODE_BUDGET`` therefore only guards the run time.  A slab
+    draws its keys once and evaluates its members in chunks of
+    max(1, _SLAB_LEAVES // inner); at N >= 3 the deeper levels redraw their
+    keys for each chunk of level-1 members.  An overflow, invalid value or
+    division by zero raises NumericalError and never warns.
     """
     if outer < 2 or inner < 2:
         raise ValueError("outer and inner sample counts must be at least 2")
@@ -202,40 +204,36 @@ def nested_mc_y0(
         nodes first, first+1, ...: each member's means over its own children."""
         y, z = np.empty_like(x), np.empty_like(x)
         scale = inner * math.sqrt(deltas[level])
-        nodes = max(1, _SLAB_LEAVES // (inner * len(x)))
+        chunk = max(1, _SLAB_LEAVES // inner)
+        nodes = max(1, _SLAB_LEAVES // (inner * min(len(x), chunk)))
         for a in range(0, x.shape[1], nodes):
             b = min(a + nodes, x.shape[1])
             xi = counter_normals(seed, _NESTED_STREAM_BASE + level, (first + a) * half,
                                  (first + b) * half).reshape(b - a, half)
-            s = summands(level, x[:, a:b, None], xi, inner, (first + a) * inner)
-            y[:, a:b] = s.mean(axis=-1)
-            antithetic = s[..., :half].copy()  # s_j - s_{h+j}, and s_{h-1} unpaired
-            antithetic[..., :pairs] -= s[..., half:]
-            z[:, a:b] = (xi * antithetic).sum(axis=-1) / scale
+            for m in range(0, len(x), chunk):
+                s = summands(level, x[m:m + chunk, a:b, None], xi, inner, (first + a) * inner)
+                y[m:m + chunk, a:b] = s.mean(axis=-1)
+                antithetic = s[..., :half].copy()  # s_j - s_{h+j}, and s_{h-1} unpaired
+                antithetic[..., :pairs] -= s[..., half:]
+                z[m:m + chunk, a:b] = (xi * antithetic).sum(axis=-1) / scale
         return y, z
 
     # Root child g*G + m is the one child of member m's own copy of the
-    # root, in slabs of groups and of members; a short last group is padded
-    # with zero draws whose summands are dropped.
-    members = max(1, _SLAB_LEAVES // inner)
+    # root, in slabs of groups; a short last group is padded with zero draws
+    # whose summands are dropped.
     span = max(1, _SLAB_LEAVES // group)
     root_summands = np.empty((groups, group))
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for a in range(0, groups, span):
-                b = min(a + span, groups)
-                stop = min(b * group, outer)
-                xi = np.zeros((b - a) * group)
-                xi[:stop - a * group] = counter_normals(seed, _NESTED_STREAM_BASE, a * group, stop)
-                xi = xi.reshape(b - a, group).T[..., None]  # (members, groups, 1)
-                for m in range(0, group, members):
-                    n = min(m + members, group)
-                    root = np.full((n - m, b - a, 1), problem.initial_state)
-                    root_summands[a:b, m:n] = summands(0, root, xi[m:n], 1, a)[..., 0].T
-            root_summands = root_summands.reshape(-1)[:outer]
-            y0 = float(root_summands.mean())
-            totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)
-            se = math.sqrt(groups / (groups - 1) * float((totals * totals).sum())) / outer
-    except FloatingPointError as exc:
-        raise NumericalError(f"{exc} in the nested estimate") from exc
+    with _numerical_guard("in the nested estimate"):
+        for a in range(0, groups, span):
+            b = min(a + span, groups)
+            stop = min(b * group, outer)
+            xi = np.zeros((b - a) * group)
+            xi[:stop - a * group] = counter_normals(seed, _NESTED_STREAM_BASE, a * group, stop)
+            xi = xi.reshape(b - a, group).T[..., None]  # (members, groups, 1)
+            root = np.full((group, b - a, 1), problem.initial_state)
+            root_summands[a:b] = summands(0, root, xi, 1, a)[..., 0].T
+        root_summands = root_summands.reshape(-1)[:outer]
+        y0 = float(root_summands.mean())
+        totals = np.bincount(np.arange(outer) // group, weights=root_summands - y0)
+        se = math.sqrt(groups / (groups - 1) * float((totals * totals).sum())) / outer
     return NestedEstimate(y0=y0, standard_error=se)

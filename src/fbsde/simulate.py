@@ -26,6 +26,7 @@ columns).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,6 +134,18 @@ class NumericalError(RuntimeError):
     """A simulation or a backward sweep produced non-finite values."""
 
 
+@contextmanager
+def _numerical_guard(where: str):
+    """The package's numerical-failure rule: an overflow, invalid value or
+    division by zero inside the block raises NumericalError(f"{exc} {where}")
+    at once, naming the operation, and never warns."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{exc} {where}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """M simulated forward paths and the Brownian increments that drove them.
@@ -202,15 +215,12 @@ def euler_states(problem: FbsdeProblem, grid: TimeGrid, increments: np.ndarray) 
     states[0] = problem.initial_state
     for i in range(n):
         xi = states[i]
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                states[i + 1] = (
-                    xi
-                    + deltas[i] * problem.drift(times[i], xi)
-                    + problem.diffusion(times[i], xi) * increments[:, i]
-                )
-        except FloatingPointError as exc:
-            raise NumericalError(f"{exc} at simulation step {i}") from exc
+        with _numerical_guard(f"at simulation step {i}"):
+            states[i + 1] = (
+                xi
+                + deltas[i] * problem.drift(times[i], xi)
+                + problem.diffusion(times[i], xi) * increments[:, i]
+            )
     return states.T  # F-ordered view: time columns stay contiguous
 
 

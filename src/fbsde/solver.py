@@ -32,7 +32,7 @@ import numpy as np
 from .basis import BasisSet
 from .model import FbsdeProblem, TimeGrid
 from .regress import FactoredDesign, project
-from .simulate import NumericalError, PathEnsemble
+from .simulate import NumericalError, PathEnsemble, _numerical_guard
 
 __all__ = [
     "SolverResult",
@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 SCHEMES = ("later", "now")
-
-# The per-step record of each scheme's step, in the order the step makes it.
-_FIELDS = {"later": ("condition", "alpha", "beta", "max_abs_y"),
-           "now": ("condition", "picard_iterations", "picard_gap", "max_abs_y")}
 
 
 @dataclass(eq=False)
@@ -150,7 +146,8 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
             z = fit.fitted(y * increments[:, i] / deltas[i])
             del fit
 
-        # Picard iteration on y = e_y + delta_i * f(t_i, x, y, z).
+        # Picard iteration on y = e_y + delta_i * f(t_i, x, y, z).  Without the
+        # copy, paper-call's peak RSS rose 1.6 MiB (heap placement).
         current = e_y.copy()
         for iterations in range(1, picard_iters + 1):
             proposal = e_y + deltas[i] * np.asarray(
@@ -167,25 +164,18 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
     ys = dict.fromkeys(schemes, np.asarray(problem.terminal(states[:, N]), dtype=np.float64))
     if not np.all(np.isfinite(ys[schemes[0]])):
         raise NumericalError(f"non-finite terminal values at step {N}")
-    diagnostics = {scheme: {name: [None] * N for name in _FIELDS[scheme]}
-                   for scheme in schemes}
+    records = {scheme: [None] * N for scheme in schemes}
     spent = dict.fromkeys(schemes, time.perf_counter() - started)
 
     def run(scheme, step, i):
         began = time.perf_counter()
-        # An overflow, invalid value or division by zero fails the step at
-        # once, with the operation in the message, and never warns.
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                ys[scheme], record = step(i, ys[scheme])
-        except FloatingPointError as exc:
-            raise NumericalError(f"{exc} at step {i}") from exc
+        with _numerical_guard(f"at step {i}"):
+            ys[scheme], record = step(i, ys[scheme])
         # One reduction both records and checks: np.max propagates NaN and inf.
         record["max_abs_y"] = float(np.max(np.abs(ys[scheme])))
         if not np.isfinite(record["max_abs_y"]):
             raise NumericalError(f"non-finite fitted values at step {i}")
-        for name, value in record.items():
-            diagnostics[scheme][name][i] = value
+        records[scheme][i] = record
         spent[scheme] += time.perf_counter() - began
 
     for j in range(N, -1, -1):
@@ -194,8 +184,9 @@ def solve(problem: FbsdeProblem, grid: TimeGrid, basis: BasisSet, paths: PathEns
         if "now" in schemes and j < N:
             run("now", now, j)
 
-    results = [SolverResult(float(ys[scheme][0]), z0[scheme], scheme, spent[scheme] * 1e3,
-                            diagnostics[scheme]) for scheme in schemes]
+    results = [SolverResult(float(ys[s][0]), z0[s], s, spent[s] * 1e3,
+                            {key: [record[key] for record in records[s]] for key in records[s][0]})
+               for s in schemes]
     if not all(np.isfinite(result.y0) and np.isfinite(result.z0) for result in results):
         raise NumericalError("non-finite initial values at step 0")
     return results

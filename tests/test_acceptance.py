@@ -19,6 +19,8 @@ from fbsde.regress import project
 from fbsde.simulate import simulate_paths
 from fbsde.solver import solve_regress_later, solve_regress_now
 
+from discrete_limit import ARCTAN_N2_LATER_Y0, later_limit
+
 SEEDS = tuple(range(101, 111))
 
 CALL_TARGET_Y0, CALL_TARGET_Z0 = 1.3886, 1.39
@@ -307,6 +309,63 @@ def test_later_mean_is_within_4_se_of_the_euler_discrete_reference(call_results)
                                 ([r.z0 for r in results], z_ref, z_ref_se)):
         se = math.hypot(np.std(values, ddof=1) / math.sqrt(len(values)), ref_se)
         assert abs(np.mean(values) - ref) <= 4 * se, (np.mean(values), ref, se)
+
+
+# The discrete limit's two resolutions, (Chebyshev nodes, quadrature points),
+# and the bound within which they agree: twice the largest gap measured
+# between them, 4.7e-8 on arctan at N = 2, whose payoff has complex
+# singularities at +-i (the call's gaps were 2e-12 and 3.5e-10).
+RESOLUTIONS = ((150, 40), (250, 60))
+LIMIT_TOL = 1e-7
+
+# theta = (mu - r) / sigma = 0.2: the call's driver reads z
+THETA_CALL = {"mu": 0.05, "sigma": 0.2}
+
+
+def discrete_limits(name, n_steps, **overrides):
+    """The later scheme's discrete limit at each of RESOLUTIONS."""
+    entry = ProblemCatalogEntry.with_defaults(name, **overrides)
+    problem = make_problem(entry)
+    grid = make_uniform_grid(problem.horizon, n_steps)
+    kink = entry.parameters["K"] if name in ("call", "put") else None
+    return [later_limit(problem, grid, kink, *resolution) for resolution in RESOLUTIONS]
+
+
+@pytest.fixture(scope="module")
+def call_limits():
+    return {"call": discrete_limits("call", 10),
+            "theta": discrete_limits("call", 10, **THETA_CALL)}
+
+
+def test_discrete_limit_agrees_across_resolutions(call_limits):
+    for coarse, fine in (*call_limits.values(), discrete_limits("arctan", 2)):
+        assert abs(coarse - fine) <= LIMIT_TOL, (coarse, fine)
+
+
+def test_discrete_limit_matches_the_gauss_hermite_tree():
+    # two independent quadratures of one recursion: the grid, and the tree
+    # that holds the nested oracle to the later rule
+    assert abs(discrete_limits("arctan", 2)[-1] - ARCTAN_N2_LATER_Y0) <= LIMIT_TOL
+
+
+def test_later_mean_is_within_4_se_of_the_discrete_limit(call_results, call_limits):
+    # the shipped call, laguerre k = 6 (+1.25 SE when this test was written)
+    values = [r.y0 for r in call_results[0]]
+    se = np.std(values, ddof=1) / math.sqrt(len(values))
+    assert abs(np.mean(values) - call_limits["call"][-1]) <= 4 * se
+
+
+def test_later_mean_is_within_4_se_of_the_discrete_limit_where_z_drives_y(call_limits):
+    # mu = 0.05, sigma = 0.2, hermite k = 6 (+1.89 SE when this test was
+    # written), where no closed form gives the discrete scheme's value
+    problem = make_problem(ProblemCatalogEntry.with_defaults("call", **THETA_CALL))
+    grid = make_uniform_grid(problem.horizon, 10)
+    basis = BasisSet("hermite", 6, problem, grid)
+    values = [solve_regress_later(problem, grid, basis,
+                                  simulate_paths(problem, grid, 100_000, seed)).y0
+              for seed in SEEDS]
+    se = np.std(values, ddof=1) / math.sqrt(len(values))
+    assert abs(np.mean(values) - call_limits["theta"][-1]) <= 4 * se, (np.mean(values), se)
 
 
 @pytest.mark.parametrize("name", ["call", "put"])

@@ -238,9 +238,22 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
 def test_exit_code_on_config_error(tmp_path, capsys):
     assert main(["solve", "--paths", "minus-one"]) == 2
     assert "paths" in capsys.readouterr().err
+    assert main(["solve", "paths=,"]) == 2
+    assert "config error: key 'paths': empty list" in capsys.readouterr().err
     assert main(["solve", "not_a_pair"]) == 2
     missing = tmp_path / "missing.cfg"
     assert main(["solve", "--config", str(missing)]) == 2
+
+
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "rows.csv"
+    code = main(["solve", "--problem", "custom", "--paths", "50", "--steps", "2", "--k", "3",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -385,6 +398,10 @@ def test_module_run_prints_no_warning(tmp_path):
 # ---------------------------------------------------------- input contract
 
 
+# the rest of the message, where the key alone does not name the error
+_DETAIL = {"b0": ": not a parameter of problem 'call'", "K": ": expected a number"}
+
+
 @pytest.mark.parametrize("args, key", [
     (["--k", "32"], "k"),
     (["--k", "40"], "k"),
@@ -401,6 +418,9 @@ def test_module_run_prints_no_warning(tmp_path):
     (["picard_iters=1001"], "picard_iters"),
     # a time grid numpy cannot address
     (["--problem", "put", "--steps", "100000000000000000000"], "steps"),
+    # another problem's parameter, and a value that is not a number
+    (["--problem", "call", "b0=1"], "b0"),
+    (["--problem", "call", "K=abc"], "K"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, args, key):
     def no_simulation(*args, **kwargs):
@@ -410,7 +430,7 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, monkeypatch, ar
     out = tmp_path / "rows.csv"
     code = main(["solve", "--paths", "200", "--steps", "2", "--out", str(out), *args])
     assert code == 2
-    assert f"config error: key {key!r}" in capsys.readouterr().err
+    assert f"config error: key {key!r}{_DETAIL.get(key, '')}" in capsys.readouterr().err
     assert not out.exists()
 
 

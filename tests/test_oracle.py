@@ -12,6 +12,8 @@ from fbsde.oracle import (arctan_solution, black_scholes, nested_mc_y0,
 from fbsde.simulate import NumericalError, counter_normals, simulate_paths
 from fbsde.solver import solve_regress_later
 
+from discrete_limit import ARCTAN_N2_LATER_Y0, gauss_hermite_tree
+
 # exact values of the shipped pricing configuration (40-digit arithmetic,
 # frozen): forward 100*exp(0.01), d+ = 0.51, d- = 0.49
 CALL_Y0 = 1.388626674261007561
@@ -263,31 +265,6 @@ def test_nested_mc_matches_pinned_values():
         assert (est.y0.hex(), est.standard_error.hex()) == pinned
 
 
-def _gauss_hermite_tree(problem, grid, z_from, nodes=60):
-    """y0 of the nested recursion with every mean over a node's children
-    replaced by ``nodes``-point Gauss-Hermite quadrature: y_i = E[s] over
-    the children's summands s = v + delta_i * f(t_{i+1}, X', v, z'), and
-    z_i = E[w * dW_i] / delta_i with w = z_from(s, v), v the children's
-    values.  Deterministic, and built without fbsde.oracle or BasisSet."""
-    N, times, deltas = grid.n_steps, grid.times, grid.deltas
-    xi, weights = np.polynomial.hermite_e.hermegauss(nodes)
-    weights = weights / math.sqrt(2.0 * math.pi)
-
-    def node(i, x):
-        dt = deltas[i]
-        kids = (x + dt * problem.drift(times[i], x)
-                + problem.diffusion(times[i], x) * math.sqrt(dt) * xi[:, None])
-        if i + 1 == N:
-            v = problem.terminal(kids)
-            z = problem.diffusion(times[N], kids) * problem.terminal_gradient(kids)
-        else:
-            v, z = node(i + 1, kids.reshape(-1)).reshape(2, *kids.shape)
-        s = v + dt * problem.driver(times[i + 1], kids, v, z)
-        return np.stack((weights @ s, weights @ (z_from(s, v) * xi[:, None]) / math.sqrt(dt)))
-
-    return float(node(0, np.array([problem.initial_state]))[0, 0])
-
-
 def test_nested_mc_takes_z_by_the_later_rule():
     # The two Z rules are consistent as delta -> 0 but far apart on arctan
     # at N = 2.  The oracle's y0, pooled over three seeds (SE ~1.1e-3),
@@ -295,9 +272,9 @@ def test_nested_mc_takes_z_by_the_later_rule():
     # classical explicit rule's, so a wrong rule fails.
     problem = make_problem(ProblemCatalogEntry.with_defaults("arctan"))
     grid = make_uniform_grid(1.0, 2)
-    later = _gauss_hermite_tree(problem, grid, lambda s, v: s)
-    explicit = _gauss_hermite_tree(problem, grid, lambda s, v: v)
-    assert later == pytest.approx(0.0314364102, rel=0, abs=1e-9)
+    later = gauss_hermite_tree(problem, grid, lambda s, v: s)
+    explicit = gauss_hermite_tree(problem, grid, lambda s, v: v)
+    assert later == pytest.approx(ARCTAN_N2_LATER_Y0, rel=0, abs=1e-9)
     assert explicit == pytest.approx(0.0211067474, rel=0, abs=1e-9)
     runs = [nested_mc_y0(problem, grid, outer=32_000, inner=100, seed=seed)
             for seed in (1101, 1102, 1103)]
@@ -308,12 +285,13 @@ def test_nested_mc_takes_z_by_the_later_rule():
 
 
 @pytest.mark.parametrize("N, outer, inner", [(2, 30, 8), (2, 30, 7), (3, 6, 8), (3, 6, 7),
-                                             (3, 37, 41)])
+                                             (2, 37, 41), (3, 37, 41)])
 def test_nested_mc_draws_once_per_group_key(monkeypatch, N, outer, inner):
     # the root draws one word per child; below it each node of the C group
-    # trees draws ceil(inner/2) words once whenever a slab holds the rows of
-    # all G members.  A slab of 100 holds 2 of 37 x 41's 8 members, so each
-    # chunk of members draws the keys once: words = outer + 4 * keys * h
+    # trees draws ceil(inner/2) words, level 1 once for all G members.  A
+    # slab of 100 evaluates 2 of 37 x 41's 8 members at a time, so at N = 3
+    # level 2 is walked, and drawn, once per chunk of level-1 members:
+    # words = outer + h * (keys_1 + 4 * keys_2)
     drawn = []
 
     def counting(seed, stream, start, stop, width=None):
@@ -321,14 +299,16 @@ def test_nested_mc_draws_once_per_group_key(monkeypatch, N, outer, inner):
         return counter_normals(seed, stream, start, stop, width)
 
     monkeypatch.setattr("fbsde.oracle.counter_normals", counting)
-    groups = -(-outer // min(8, outer // 2))
-    keys = sum(groups * inner ** (level - 1) for level in range(1, N))
+    group = min(8, outer // 2)
+    groups = -(-outer // group)
+    first, *deeper = (groups * inner ** (level - 1) for level in range(1, N))
     for slab in (oracle._SLAB_LEAVES, 100):
         monkeypatch.setattr("fbsde.oracle._SLAB_LEAVES", slab)
         drawn.clear()
         _nested_arctan(N, outer, inner, 5)
-        chunks = 4 if (inner, slab) == (41, 100) else 1
-        assert sum(drawn) == outer + chunks * keys * ((inner + 1) // 2), slab
+        chunks = -(-group // max(1, slab // inner))
+        assert chunks == (4 if (inner, slab) == (41, 100) else 1)
+        assert sum(drawn) == outer + (first + chunks * sum(deeper)) * ((inner + 1) // 2), slab
 
 
 def test_nested_mc_pairs_cancel_an_odd_payoff():

@@ -243,3 +243,5 @@ def test_input_validation():
         simulate_paths(problem, grid, 10, seed=-1)
     with pytest.raises(ValueError):
         simulate_paths(problem, grid, 10, seed=2**64)
+    with pytest.raises(ValueError, match="wrong number of steps"):
+        euler_states(problem, grid, np.zeros((10, 3)))

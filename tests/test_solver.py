@@ -645,6 +645,10 @@ def test_mismatched_inputs_rejected():
     with pytest.raises(ValueError):
         solve_regress_later(other_problem, GRID,
                             BasisSet("laguerre", 6, other_problem, GRID), ens)
+    # another problem object at the same initial state: a basis serves the
+    # one problem object it was built for
+    with pytest.raises(ValueError, match="different problem"):
+        solve_regress_later(call_problem(), GRID, basis, ens)
 
 
 @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-5])
@@ -726,6 +730,23 @@ def test_nonfinite_state_rejects_the_ensemble_before_any_step(bad):
         with pytest.raises(NumericalError, match="^non-finite states in the path ensemble$"):
             solve(problem, GRID, basis, broken, schemes)
     assert calls == []
+
+
+@pytest.mark.parametrize("name, message", [("custom", "initial values"),
+                                           ("call", "fitted values")])
+def test_nonfinite_increment_fails_the_now_scheme_at_step_0(name, message):
+    # the increments are not checked at entry, since only the now scheme
+    # reads them.  A NaN in column 0 reaches z0 alone under the zero driver
+    # (custom); the call's driver carries it into the step's values first
+    problem = make_problem(ProblemCatalogEntry.with_defaults(name))
+    grid = make_uniform_grid(problem.horizon, 3)
+    basis = BasisSet("hermite", 3, problem, grid)
+    ens = simulate_paths(problem, grid, 200, seed=2)
+    increments = ens.increments.copy(order="F")
+    increments[17, 0] = np.nan
+    broken = PathEnsemble(ens.states, increments, grid, ens.seed)
+    with pytest.raises(NumericalError, match=f"^non-finite {message} at step 0$"):
+        solve(problem, grid, basis, broken, ("now",))
 
 
 def test_nan_driver_stops_picard_at_first_iteration():
